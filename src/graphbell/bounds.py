@@ -23,6 +23,8 @@ from .graph import (
     is_connected,
     is_tree,
     iter_bits,
+    reach,
+    without_edge,
 )
 from .lhv import EXACT_SEARCH_CAP, classical_bound
 from .table import CHAIN_PIECE_D
@@ -268,18 +270,7 @@ class _Composer:
 
 def _side_of_bridge(g: Graph, piece: int, u: int, v: int) -> int:
     """Vertices of ``piece`` reachable from u once the bridge {u, v} is cut."""
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    comp = 1 << u
-    frontier = 1 << u
-    while frontier:
-        reach = 0
-        for i in iter_bits(frontier):
-            reach |= adj[i]
-        frontier = reach & piece & ~comp
-        comp |= frontier
-    return comp
+    return reach(without_edge(g.adj, u, v), u, piece)
 
 
 def bridge_compose_bound(

@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import bridge_compose_bound
@@ -42,29 +40,7 @@ EXIT_CAP = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
-WORKERS_ENV = "GRAPHBELL_WORKERS"
-
 _FAMILY_CODES = {f.value: f for f in GraphFamily}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, graph source, caps, workers, format."""
-
-    command: str
-    family: GraphFamily | None = None
-    n: int | None = None
-    edges_path: str | None = None
-    graph6: str | None = None
-    exact_cap: int = EXACT_SEARCH_CAP
-    workers: int = 1
-    fmt: str = "text"
-    unreduced: bool = False
-    method: str = "transform"
-    check: bool = False
-    reduced: bool = False
-    exhaustive: bool = False
-    vertex: int = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,8 +62,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"exact-search vertex cap (default {EXACT_SEARCH_CAP})")
     p.add_argument("--allow-large-cap", action="store_true",
                    help=f"permit --exact-cap above {EXACT_SEARCH_CAP} (memory grows as 4^n)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"search workers (default ${WORKERS_ENV} or 1)")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
 
 
@@ -100,8 +74,6 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--unreduced", action="store_true",
                    help=f"search all 8^n assignments instead of 4^n (n <= {UNREDUCED_SEARCH_CAP})")
-    p.add_argument("--method", choices=["transform", "direct"], default="transform",
-                   help="search engine (both exhaustive; direct honors --workers)")
 
     p = sub.add_parser("table", help="family-value table for 3..10 vertices")
     _add_common(p)
@@ -125,66 +97,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
-    if args.exact_cap > EXACT_SEARCH_CAP and not getattr(args, "allow_large_cap", False):
+def _validate(args: argparse.Namespace, parser: _Parser) -> None:
+    if args.exact_cap < 1:
+        parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
+    if args.exact_cap > EXACT_SEARCH_CAP and not args.allow_large_cap:
         parser.error(f"--exact-cap {args.exact_cap} exceeds {EXACT_SEARCH_CAP}; "
                      "pass --allow-large-cap to override")
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        parser.error("--workers must be at least 1")
-    family = _FAMILY_CODES[args.family] if getattr(args, "family", None) else None
-    sources = [s for s in (family, getattr(args, "edges", None), getattr(args, "graph6", None)) if s]
     if args.command != "table":
-        if len(sources) != 1:
+        if len([s for s in (args.family, args.edges, args.graph6) if s]) != 1:
             parser.error("exactly one of --family, --edges, --graph6 is required")
-        if family is not None and getattr(args, "n", None) is None:
+        if args.family and args.n is None:
             parser.error("--family requires --n")
-    return RunConfig(
-        command=args.command,
-        family=family,
-        n=getattr(args, "n", None),
-        edges_path=getattr(args, "edges", None),
-        graph6=getattr(args, "graph6", None),
-        exact_cap=args.exact_cap,
-        workers=workers,
-        fmt=args.fmt,
-        unreduced=getattr(args, "unreduced", False),
-        method=getattr(args, "method", "transform"),
-        check=getattr(args, "check", False),
-        reduced=getattr(args, "reduced", False),
-        exhaustive=getattr(args, "exhaustive", False),
-        vertex=getattr(args, "vertex", 0),
-    )
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.family is not None:
-        return build_family(cfg.family, cfg.n)
-    if cfg.edges_path is not None:
-        with open(cfg.edges_path, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    return parse_graph6(cfg.graph6)
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if args.family:
+        return build_family(_FAMILY_CODES[args.family], args.n)
+    if args.edges is not None:
+        try:
+            with open(args.edges, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise EdgeListParseError(f"cannot read edge list {args.edges!r}: {exc}") from None
+        return parse_edge_list(text)
+    return parse_graph6(args.graph6)
 
 
 def _frac(d: Fraction) -> str:
     return f"{d.numerator}/{d.denominator}" if d.denominator > 1 else str(d.numerator)
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    report = classical_bound(
-        g,
-        pin_z=not cfg.unreduced,
-        workers=cfg.workers,
-        exact_cap=cfg.exact_cap,
-        method=cfg.method,
-    )
+def cmd_bound(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    report = classical_bound(g, pin_z=not args.unreduced, exact_cap=args.exact_cap)
     payload = report.to_json_dict()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         keys = list(payload)
         print(",".join(keys))
         print(",".join(str(payload[k]) for k in keys))
@@ -199,22 +148,18 @@ def cmd_bound(cfg: RunConfig) -> int:
     return EXIT_NO_VIOLATION if report.d == 1 else EXIT_OK
 
 
-def _table_values(cfg: RunConfig) -> dict[GraphFamily, dict[int, Fraction]]:
-    return {
-        fam: {n: classical_bound(build_family(fam, n), workers=cfg.workers).d for n in FAMILY_SIZES}
+def cmd_table(args: argparse.Namespace) -> int:
+    values = {
+        fam: {n: classical_bound(build_family(fam, n)).d for n in FAMILY_SIZES}
         for fam in GraphFamily
     }
-
-
-def cmd_table(cfg: RunConfig) -> int:
-    values = _table_values(cfg)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             fam.value: {str(n): [d.numerator, d.denominator] for n, d in row.items()}
             for fam, row in values.items()
         }
         print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("family,n,d_num,d_den")
         for fam, row in values.items():
             for n, d in row.items():
@@ -232,13 +177,13 @@ def cmd_table(cfg: RunConfig) -> int:
             cells = []
             for n in FAMILY_SIZES:
                 d = values[fam][n]
-                if cfg.reduced:
+                if args.reduced:
                     cell = _frac(d)
                 else:
                     cell = f"{d.numerator * (denoms[n] // d.denominator)}/{denoms[n]}"
                 cells.append(cell.ljust(widths[n]))
             print(f"{fam.value}  " + "  ".join(cells))
-    if cfg.check:
+    if args.check:
         mismatches = [
             (fam.value, n, values[fam][n], FAMILY_D[fam][n])
             for fam in GraphFamily
@@ -254,7 +199,7 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig, g: Graph) -> list[tuple[str, bool | None, str]]:
+def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str]]:
     """Run each verification; (name, passed-or-None-if-skipped, detail)."""
     checks: list[tuple[str, bool | None, str]] = []
     if g.n <= DENSE_CAP:
@@ -266,35 +211,33 @@ def _verify_checks(cfg: RunConfig, g: Graph) -> list[tuple[str, bool | None, str
     else:
         checks.append(("stabilizer-eigenvalue", None, f"skipped: n > dense cap {DENSE_CAP}"))
         checks.append(("quantum-bell-value", None, f"skipped: n > dense cap {DENSE_CAP}"))
-    report = classical_bound(g, workers=cfg.workers, exact_cap=cfg.exact_cap)
+    report = classical_bound(g, exact_cap=exact_cap)
     checks.append(("classical-bound", True, f"c = {report.c}, d = {_frac(report.d)}"))
     if g.n <= UNREDUCED_SEARCH_CAP:
-        c_full, _, _ = operator_bound(bell_terms(g), pin_z=False,
-                                      workers=cfg.workers)
+        c_full, _, _ = operator_bound(bell_terms(g), pin_z=False)
         checks.append(("z-restriction-equivalence", c_full == report.c,
                        f"restricted c = {report.c}, unrestricted c = {c_full}"))
         permuted = apply_permutation(bell_terms(g), 0, "1YXZ")
-        c_perm, _, _ = operator_bound(permuted, pin_z=False, workers=cfg.workers)
+        c_perm, _, _ = operator_bound(permuted, pin_z=False)
         checks.append(("observable-permutation-invariance", c_perm == report.c,
                        f"c after X<->Y swap on qubit 0 = {c_perm}"))
     else:
         detail = f"skipped: unrestricted search capped at n <= {UNREDUCED_SEARCH_CAP}"
         checks.append(("z-restriction-equivalence", None, detail))
         checks.append(("observable-permutation-invariance", None, detail))
-    lc_report = classical_bound(local_complement(g, 0), workers=cfg.workers,
-                                exact_cap=cfg.exact_cap)
+    lc_report = classical_bound(local_complement(g, 0), exact_cap=exact_cap)
     checks.append(("local-complementation-invariance", lc_report.c == report.c,
                    f"c at complemented vertex 0 = {lc_report.c}"))
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    checks = _verify_checks(cfg, g)
-    if cfg.fmt == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    checks = _verify_checks(g, args.exact_cap)
+    if args.fmt == "json":
         payload = [{"check": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
         print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("check,passed,detail")
         for name, ok, detail in checks:
             status = "skipped" if ok is None else str(ok).lower()
@@ -310,14 +253,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compose(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    bound = bridge_compose_bound(g, exact_cap=cfg.exact_cap, exhaustive=cfg.exhaustive)
+def cmd_compose(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    bound = bridge_compose_bound(g, exact_cap=args.exact_cap, exhaustive=args.exhaustive)
     payload = bound.to_json_dict()
     notes = _derivation_notes(payload["derivation"])
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("value_num,value_den,is_exact")
         print(f"{bound.value.numerator},{bound.value.denominator},{bound.is_exact}")
     else:
@@ -345,9 +288,9 @@ def _derivation_notes(node: dict, depth: int = 0) -> list[str]:
     ]
 
 
-def cmd_lc(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    sys.stdout.write(render_edge_list(local_complement(g, cfg.vertex)))
+def cmd_lc(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    sys.stdout.write(render_edge_list(local_complement(g, args.vertex)))
     return EXIT_OK
 
 
@@ -363,19 +306,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _validate(args, parser)
     try:
-        cfg = _resolve_config(args, parser)
-        return _COMMANDS[cfg.command](cfg)
-    except SystemExit:
-        raise
+        return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: use `graphbell compose` for graphs beyond the exact cap", file=sys.stderr)
         return EXIT_CAP
     except (EdgeListParseError, InvalidGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AssertionError as exc:

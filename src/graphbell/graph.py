@@ -177,14 +177,20 @@ def parse_graph6(text: str) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
         raise EdgeListParseError(f"graph6 vertex count must be in 1..{MAX_VERTICES}, got {n}")
     need = n * (n - 1) // 2
+    data = s[1:]
+    want = (need + 5) // 6
+    if len(data) != want:
+        raise EdgeListParseError(
+            f"graph6 string for {n} vertices needs {want} data bytes, got {len(data)}"
+        )
     bits = []
-    for ch in s[1:]:
+    for ch in data:
         v = ord(ch) - 63
         if not 0 <= v < 64:
             raise EdgeListParseError(f"invalid graph6 byte {ch!r}")
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    if len(bits) < need:
-        raise EdgeListParseError("graph6 string too short for its vertex count")
+    if any(bits[need:]):
+        raise EdgeListParseError("graph6 padding bits must be zero")
     edges = []
     pos = 0
     for j in range(1, n):
@@ -205,23 +211,38 @@ def local_complement(g: Graph, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
+def reach(adj, start: int, within: int) -> int:
+    """Mask of the vertices reachable from ``start`` through vertices of ``within``.
+
+    ``adj`` is any per-vertex sequence of neighbor masks, so callers can pass
+    an adjacency with edges cut out of it.
+    """
+    comp = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for i in iter_bits(frontier):
+            nxt |= adj[i]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def without_edge(adj, u: int, v: int) -> list[int]:
+    """Copy of a neighbor-mask sequence with the edge {u, v} removed."""
+    cut = list(adj)
+    cut[u] &= ~(1 << v)
+    cut[v] &= ~(1 << u)
+    return cut
+
+
 def connected_components(g: Graph) -> list[int]:
     """Vertex-set masks of the connected components, ordered by smallest member."""
     seen = 0
     comps = []
     for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            reach = 0
-            for i in iter_bits(frontier):
-                reach |= g.adj[i]
-            frontier = reach & ~comp
-            comp |= frontier
-        comps.append(comp)
-        seen |= comp
+        if not seen >> start & 1:
+            comps.append(reach(g.adj, start, g.vertex_mask))
+            seen |= comps[-1]
     return comps
 
 
@@ -234,17 +255,15 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.edge_count() == g.n - 1
 
 
-def _component_count_without_edge(g: Graph, u: int, v: int) -> int:
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return len(connected_components(Graph(g.n, tuple(adj))))
-
-
 def bridges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose removal increases the number of connected components."""
-    base = len(connected_components(g))
-    return [e for e in g.edges() if _component_count_without_edge(g, *e) > base]
+    """Edges whose removal increases the number of connected components.
+
+    An edge {u, v} is a bridge iff v is no longer reachable from u without it.
+    """
+    return [
+        (u, v) for u, v in g.edges()
+        if not reach(without_edge(g.adj, u, v), u, g.vertex_mask) >> v & 1
+    ]
 
 
 def induced_subgraph(g: Graph, vertices: int) -> tuple[Graph, list[int]]:

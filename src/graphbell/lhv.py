@@ -3,15 +3,10 @@
 A deterministic local-hidden-variable model assigns a fixed value +1 or -1 to
 each local observable X, Y, Z on each qubit; the classical bound C(G) is the
 exact maximum of |<B(G)>| over all such assignments, and D(G) = C(G)/2^n.
-Two equivalent search engines are provided:
 
-* ``transform`` (default): the Bell value, as a function of the sign masks,
-  is the Walsh-Hadamard transform of the signed term-occupancy table over
-  the assignment space, so one integer fast-WHT evaluates every assignment
-  exactly. Deterministic by construction and independent of worker count.
-* ``direct``: partitioned enumeration of the same assignment counter, kept
-  as an independently-coded reference; contiguous ranges are searched per
-  worker and merged with a lexicographic tie-break.
+The Bell value, as a function of the sign masks, is the Walsh-Hadamard
+transform of the signed term-occupancy table over the assignment space, so
+one integer fast-WHT evaluates every assignment exactly and deterministically.
 
 The Z observables can be pinned to +1 without changing the maximum for
 graph-form operators (flipping Z on one qubit is absorbed by flipping Y
@@ -20,7 +15,6 @@ there plus X and Y on its neighbors), which cuts the space from 8^n to 4^n.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,42 +120,6 @@ def _search_transform(b: BellOperator, restrict_z: bool) -> tuple[int, int]:
     return int(abs(int(spectrum[index]))), index
 
 
-def _search_direct(b: BellOperator, restrict_z: bool, workers: int) -> tuple[int, int]:
-    """Reference engine: evaluate every assignment in counter order.
-
-    The counter space is statically split into ``workers`` contiguous ranges;
-    each range reports its local (max, first index) and the merge keeps the
-    largest value, breaking ties toward the smaller index.
-    """
-    keys, bits = _term_keys(b, restrict_z)
-    signs = b.signs.astype(np.int32)
-    total = 1 << bits
-
-    def scan(lo: int, hi: int) -> tuple[int, int]:
-        counters = np.arange(lo, hi, dtype=np.int64)
-        values = np.zeros(hi - lo, dtype=np.int32)
-        for key, sign in zip(keys, signs):
-            parity = np.bitwise_count(counters & key).astype(np.int32) & 1
-            values += sign * (1 - 2 * parity)
-        np.abs(values, out=values)
-        local = int(np.argmax(values))
-        return int(values[local]), lo + local
-
-    workers = max(1, min(workers, total))
-    bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
-    ranges = [(int(bounds[k]), int(bounds[k + 1])) for k in range(workers) if bounds[k] < bounds[k + 1]]
-    if len(ranges) == 1:
-        results = [scan(*ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(lambda r: scan(*r), ranges))
-    best_value, best_index = results[0]
-    for value, index in results[1:]:
-        if value > best_value or (value == best_value and index < best_index):
-            best_value, best_index = value, index
-    return best_value, best_index
-
-
 def _index_to_assignment(index: int, n: int, restrict_z: bool) -> Assignment:
     mask = (1 << n) - 1
     if restrict_z:
@@ -172,8 +130,6 @@ def _index_to_assignment(index: int, n: int, restrict_z: bool) -> Assignment:
 def operator_bound(
     b: BellOperator,
     pin_z: bool = False,
-    workers: int = 1,
-    method: str = "transform",
     cap: int | None = None,
 ) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over LHV models for an arbitrary term list.
@@ -189,12 +145,7 @@ def operator_bound(
     if n > cap:
         base = 4 if pin_z else 8
         raise CapExceededError(f"search space {base}^{n} exceeds cap n <= {cap}")
-    if method == "transform":
-        c, index = _search_transform(b, pin_z)
-    elif method == "direct":
-        c, index = _search_direct(b, pin_z, workers)
-    else:
-        raise ValueError(f"unknown search method {method!r}")
+    c, index = _search_transform(b, pin_z)
     space = 1 << (2 * n if pin_z else 3 * n)
     return c, _index_to_assignment(index, n, pin_z), space
 
@@ -202,9 +153,7 @@ def operator_bound(
 def classical_bound(
     g: Graph,
     pin_z: bool = True,
-    workers: int = 1,
     exact_cap: int = EXACT_SEARCH_CAP,
-    method: str = "transform",
 ) -> BoundReport:
     """Exact classical bound C(G) and D(G) = C(G)/2^n of a graph's Bell operator.
 
@@ -224,13 +173,7 @@ def classical_bound(
     space_total = 0
     for comp in comps:
         sub, labels = induced_subgraph(g, comp)
-        c, argmax, space = operator_bound(
-            bell_terms(sub),
-            pin_z=pin_z,
-            workers=workers,
-            method=method,
-            cap=comp_cap,
-        )
+        c, argmax, space = operator_bound(bell_terms(sub), pin_z=pin_z, cap=comp_cap)
         c_total *= c
         space_total += space
         for k, v in enumerate(labels):

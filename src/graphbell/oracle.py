@@ -13,7 +13,6 @@ bit of the amplitude index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,12 +22,6 @@ from .stabilizer import BellOperator, PauliString, bell_terms, generator
 
 DENSE_CAP = 12
 SCHMIDT_RANK_TOLERANCE = 1e-10
-
-_I2 = np.eye(2, dtype=complex)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-_LETTER_MATRICES = {"1": _I2, "X": _X2, "Y": _Y2, "Z": _Z2}
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,17 @@ def statevector(g: Graph) -> StateVector:
     return StateVector(g.n, amps)
 
 
+def _pauli_coefficients(p: PauliString, idx: np.ndarray) -> np.ndarray:
+    """Phase of the bit-indexed action P|idx> = coeff[idx] |idx ^ x_mask>."""
+    z_parity = np.bitwise_count(idx & p.z_mask) & 1
+    return p.sign * (1j ** (p.x_mask & p.z_mask).bit_count()) * np.where(z_parity == 1, -1.0, 1.0)
+
+
 def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
     """Apply a Pauli string by bit-indexed action (no dense matrices)."""
-    size = amplitudes.shape[0]
-    idx = np.arange(size)
-    z_parity = np.bitwise_count(idx & p.z_mask) & 1
-    coeff = p.sign * (1j ** (p.x_mask & p.z_mask).bit_count()) * np.where(z_parity == 1, -1.0, 1.0)
+    idx = np.arange(amplitudes.shape[0])
     out = np.empty_like(amplitudes)
-    out[idx ^ p.x_mask] = coeff * amplitudes
+    out[idx ^ p.x_mask] = _pauli_coefficients(p, idx) * amplitudes
     return out
 
 
@@ -103,18 +99,12 @@ def quantum_bell_value(g: Graph) -> float:
     return total
 
 
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string (little-endian kron order)."""
-    mats = [_LETTER_MATRICES[p.letter(k)] for k in range(p.n)]
-    return p.sign * reduce(np.kron, reversed(mats))
-
-
 def operator_matrix(b: BellOperator) -> np.ndarray:
-    """Dense matrix of a term-list operator; only sensible at small n."""
-    size = 1 << b.n
-    total = np.zeros((size, size), dtype=complex)
+    """Dense matrix of a term-list operator, scattered term by term in O(4^n)."""
+    idx = np.arange(1 << b.n)
+    total = np.zeros((idx.size, idx.size), dtype=complex)
     for term in b:
-        total += pauli_matrix(term)
+        total[idx ^ term.x_mask, idx] += _pauli_coefficients(term, idx)
     return total
 
 

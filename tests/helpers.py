@@ -1,7 +1,8 @@
-"""Shared test machinery: dense oracles, graph enumeration, random graphs.
+"""Shared test machinery: dense oracles, a reference LHV scan, graph enumeration.
 
 The dense Pauli matrices here are built independently of the package's
-oracle module so that algebra tests have a second route to the same answer.
+oracle module, and the LHV scan independently of its transform engine, so
+that tests have a second route to the same answer.
 """
 
 from __future__ import annotations
@@ -31,6 +32,28 @@ def dense_pauli(letters: str, sign: int = 1) -> np.ndarray:
 def dense_of(p) -> np.ndarray:
     """Dense matrix of a package PauliString via its letter rendering."""
     return dense_pauli(p.to_text()[1:], p.sign)
+
+
+def reference_scan(b, pin_z: bool) -> tuple[int, int]:
+    """(max |Bell value|, first index) by evaluating every assignment in counter order.
+
+    The counter packs the sign masks as (neg_x, neg_y) when Z is pinned and
+    (neg_x, neg_y, neg_z) otherwise, most significant first, so the first
+    index is the lexicographically smallest maximizing triple.
+    """
+    n = b.n
+    x = b.x_masks.astype(np.int64)
+    z = b.z_masks.astype(np.int64)
+    xq, yq, zq = x & ~z, x & z, z & ~x
+    keys = (xq << n) | yq if pin_z else (xq << (2 * n)) | (yq << n) | zq
+    counters = np.arange(1 << (2 * n if pin_z else 3 * n), dtype=np.int64)
+    values = np.zeros(counters.shape[0], dtype=np.int64)
+    for key, sign in zip(keys, b.signs.astype(np.int64)):
+        parity = np.bitwise_count(counters & key).astype(np.int64) & 1
+        values += sign * (1 - 2 * parity)
+    np.abs(values, out=values)
+    index = int(np.argmax(values))
+    return int(values[index]), index
 
 
 def edge_index_pairs(n: int) -> list[tuple[int, int]]:

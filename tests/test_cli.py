@@ -80,12 +80,46 @@ class TestBoundCommand:
             main(["bound", "--family", "lc", "--n", "5", "--exact-cap", "13"])
         assert exc.value.code == 4
 
+    @pytest.mark.parametrize("name,content", [
+        (".", None),  # the temporary directory itself
+        ("latin1.txt", b"# caf\xe9\n2\n0 1\n"),
+        ("absent.txt", None),
+    ])
+    def test_unreadable_edge_file_is_parse_error(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        code, _, err = run(capsys, "bound", "--edges", str(path))
+        assert code == 4
+        assert "cannot read edge list" in err
+
+    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--method", "direct"]])
+    def test_removed_engine_flags_are_unknown(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--family", "lc", "--n", "5", *flags])
+        assert exc.value.code == 4
+
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n0 0\n")
         code, _, err = run(capsys, "bound", "--edges", str(path))
         assert code == 4
         assert "self-loop" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["bound", "--family", "lc", "--n", "5"],
+    ["table"],
+    ["verify", "--family", "lc", "--n", "5"],
+    ["compose", "--family", "lc", "--n", "5"],
+    ["lc", "--family", "lc", "--n", "5", "--vertex", "0"],
+])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_exact_cap_below_one_is_usage_error(capsys, command, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--exact-cap", cap])
+    assert exc.value.code == 4
+    assert "--exact-cap must be at least 1" in capsys.readouterr().err
 
 
 class TestTableCommand:
@@ -190,15 +224,10 @@ class TestLcCommand:
 
 
 class TestDeterminism:
-    def test_output_byte_identical_across_runs_and_workers(self, capsys):
-        outputs = []
-        for workers in ("1", "2", "5"):
-            _, out, _ = run(capsys, "bound", "--family", "rc", "--n", "7",
-                            "--method", "direct", "--workers", workers, "--format", "json")
-            outputs.append(out)
-        _, transform_out, _ = run(capsys, "bound", "--family", "rc", "--n", "7", "--format", "json")
-        assert len(set(outputs)) == 1
-        assert outputs[0] == transform_out
+    def test_bound_json_byte_identical_across_runs(self, capsys):
+        outputs = {run(capsys, "bound", "--family", "rc", "--n", "7", "--format", "json")[1]
+                   for _ in range(3)}
+        assert len(outputs) == 1
 
     def test_table_stable(self, capsys):
         _, first, _ = run(capsys, "table")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from graphbell import (
     parse_graph6,
     render_edge_list,
 )
-from helpers import connected_graphs, graphs
+from helpers import connected_graphs, edge_index_pairs, graphs
 
 
 class TestGraphInvariants:
@@ -130,6 +132,15 @@ class TestGraph6:
         with pytest.raises(EdgeListParseError):
             parse_graph6("A")  # truncated
 
+    def test_trailing_bytes_rejected(self):
+        assert parse_graph6("Bw") == build_family(GraphFamily.FULLY_CONNECTED, 3)
+        with pytest.raises(EdgeListParseError, match="data bytes"):
+            parse_graph6("Bw~~~~")
+
+    def test_nonzero_padding_rejected(self):
+        with pytest.raises(EdgeListParseError, match="padding"):
+            parse_graph6("Bx")  # triangle bits, then a set padding bit
+
 
 class TestLocalComplement:
     def test_star_center_gives_clique(self):
@@ -178,6 +189,23 @@ class TestBridges:
                 assert comps == base + 1
             else:
                 assert comps == base
+
+
+    def test_networkx_agrees_on_random_graphs(self):
+        # independent route: bridges and components share one reachability
+        # routine, so the property test above cannot catch a fault in it
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(4100)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            density = rng.uniform(0.0, 0.5)  # sparse draws are often disconnected
+            g = from_edges(n, [e for e in edge_index_pairs(n) if rng.random() < density])
+            nx_graph = nx.Graph()
+            nx_graph.add_nodes_from(range(n))
+            nx_graph.add_edges_from(g.edges())
+            assert bridges(g) == sorted(tuple(sorted(e)) for e in nx.bridges(nx_graph))
+            components = [sum(1 << v for v in c) for c in nx.connected_components(nx_graph)]
+            assert connected_components(g) == sorted(components, key=lambda m: m & -m)
 
 
 class TestInducedSubgraph:

@@ -21,7 +21,13 @@ from graphbell import (
     local_complement,
     operator_bound,
 )
-from helpers import connected_graphs, graph_from_edge_mask, graphs, random_connected_graph
+from helpers import (
+    connected_graphs,
+    graph_from_edge_mask,
+    graphs,
+    random_connected_graph,
+    reference_scan,
+)
 
 FC3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
 PAIR = from_edges(2, [(0, 1)])
@@ -170,21 +176,29 @@ class TestZRestriction:
                 assert c_restricted == c_full
 
 
+def counter_index(a: Assignment, n: int, pin_z: bool) -> int:
+    """Position of an assignment in the reference scan's counter order."""
+    if pin_z:
+        return a.neg_x << n | a.neg_y
+    return a.neg_x << (2 * n) | a.neg_y << n | a.neg_z
+
+
 class TestDeterminism:
-    @given(connected_graphs(max_n=5), st.sampled_from([1, 2, 3, 7]))
+    @given(connected_graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
-    def test_direct_equals_transform_any_worker_count(self, g, workers):
-        ref = classical_bound(g, method="transform")
-        alt = classical_bound(g, method="direct", workers=workers)
-        assert alt == ref
+    def test_reference_scan_equals_transform(self, g):
+        report = classical_bound(g)
+        assert (report.c, counter_index(report.argmax, g.n, True)) == reference_scan(
+            bell_terms(g), pin_z=True
+        )
 
     def test_unreduced_engines_agree(self):
         for fam in GraphFamily:
-            g = build_family(fam, 4)
-            b = bell_terms(g)
-            assert operator_bound(b, method="direct", workers=3) == operator_bound(
-                b, method="transform"
-            )
+            b = bell_terms(build_family(fam, 4))
+            for ops in (b, apply_permutation(b, 1, "Y1ZX")):
+                c, argmax, space = operator_bound(ops, pin_z=False)
+                assert space == 8**4
+                assert (c, counter_index(argmax, 4, False)) == reference_scan(ops, pin_z=False)
 
 
 class TestPermutation:

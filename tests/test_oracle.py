@@ -18,7 +18,8 @@ from graphbell import (
     schmidt_profile,
     statevector,
 )
-from graphbell.oracle import apply_pauli, operator_matrix, pauli_matrix
+from graphbell.lhv import apply_permutation
+from graphbell.oracle import apply_pauli, operator_matrix
 from graphbell.stabilizer import PauliString
 from helpers import connected_graphs, dense_of, pauli_strings
 
@@ -63,7 +64,8 @@ class TestPauliApplication:
         # X on qubit 0 of two qubits flips the LOW index bit: matrix is I (x) X
         p = PauliString.from_text("+X1")
         expected = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
-        np.testing.assert_allclose(pauli_matrix(p), expected, atol=1e-12)
+        columns = [apply_pauli(p, basis) for basis in np.eye(4, dtype=complex)]
+        np.testing.assert_allclose(np.column_stack(columns), expected, atol=1e-12)
 
 
 class TestStabilizedResidual:
@@ -117,10 +119,14 @@ class TestProjectorIdentity:
         assert projector_identity_residual(build_family(fam, n)) < 1e-9
 
     def test_operator_matrix_is_term_sum(self):
-        g = build_family(GraphFamily.LINEAR_CLUSTER, 3)
-        terms = bell_terms(g)
-        total = sum(dense_of(t) for t in terms)
-        np.testing.assert_allclose(operator_matrix(terms), total, atol=1e-12)
+        operators = [
+            bell_terms(build_family(fam, n)) for fam in GraphFamily for n in range(2, 7)
+        ]
+        operators.append(apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)),
+                                           2, "Z1XY"))
+        for terms in operators:
+            total = sum(dense_of(t) for t in terms)
+            np.testing.assert_array_equal(operator_matrix(terms), total)
 
 
 class TestSchmidtProfile:
