@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import CapExceededError, InvalidGraphError
 from .graph import (
     Graph,
+    GraphFamily,
     bridges,
     induced_subgraph,
     is_connected,
@@ -27,7 +28,7 @@ from .graph import (
     without_edge,
 )
 from .lhv import EXACT_SEARCH_CAP, classical_bound
-from .table import CHAIN_PIECE_D
+from .table import FAMILY_D
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,12 @@ class BridgeStep:
 
 @dataclass(frozen=True)
 class SubgraphStep:
-    """Bridgeless oversized piece, bounded through an induced subgraph."""
+    """Bridgeless oversized piece, bounded through an induced subgraph.
+
+    The 2^m stabilizer elements generated inside the subgraph form its
+    operator up to Z letters that a +1-on-Z assignment ignores; the other
+    2^n - 2^m terms count at most 1 each, so D <= 1 - (1 - d_sub) / 2^(n-m).
+    """
 
     piece_vertices: int
     subgraph_vertices: int
@@ -124,19 +130,12 @@ def replay(step: DerivationStep) -> Fraction:
 
 
 def subgraph_bound(g: Graph, subset: int, d_sub: Fraction) -> Fraction:
-    """Bound D(G) from the exact D of an induced subgraph on ``subset``.
-
-    Restricting the stabilizer to the 2^m elements generated inside the
-    subset reproduces the subgraph's operator up to extra Z letters that a
-    +1-on-Z assignment ignores; bounding the other 2^n - 2^m terms by 1 each
-    gives D(G) <= 1 - (1 - d_sub) / 2^(n-m).
-    """
-    m = subset.bit_count()
-    if m == 0 or subset & ~g.vertex_mask:
+    """Bound D(G) from the exact D of an induced subgraph on ``subset`` (see SubgraphStep)."""
+    if subset == 0 or subset & ~g.vertex_mask:
         raise InvalidGraphError("subset must be a nonempty vertex set of the graph")
     if d_sub > 1:
         raise ValueError(f"d_sub must be at most 1, got {d_sub}")
-    return 1 - (1 - Fraction(d_sub)) / (1 << (g.n - m))
+    return SubgraphStep(g.vertex_mask, subset, Fraction(d_sub)).value
 
 
 def _largest_tractable_subgraph(g: Graph, piece: int, cap: int) -> int:
@@ -201,17 +200,18 @@ def _best_path_partition(length: int, max_piece: int) -> tuple[list[Fraction], l
     Returns (best value per length, first-piece size realizing it). Pieces
     carry their exact chain values; one- and two-vertex pieces count 1.
     """
+    piece_d = FAMILY_D[GraphFamily.LINEAR_CLUSTER]
     max_piece = min(max_piece, 10)
     best: list[Fraction] = [Fraction(1)] * (length + 1)
     first: list[int] = [0] * (length + 1)
     for m in range(1, length + 1):
         if m <= max_piece:
-            best[m] = CHAIN_PIECE_D.get(m, Fraction(1))
+            best[m] = piece_d.get(m, Fraction(1))
             first[m] = m
         else:
             best[m] = Fraction(2)  # above any valid bound
         for k in range(1, min(max_piece, m - 1) + 1):
-            candidate = CHAIN_PIECE_D.get(k, Fraction(1)) * best[m - k]
+            candidate = piece_d.get(k, Fraction(1)) * best[m - k]
             if candidate < best[m]:
                 best[m] = candidate
                 first[m] = k
@@ -224,6 +224,10 @@ class _Composer:
         self.cap = cap
         self.exhaustive = exhaustive
         self.memo: dict[int, DerivationStep] = {}
+        # u's side of each bridge (u, v) of g, u < v. Every edge leaving a piece
+        # is a bridge of g and no path crosses a bridge and comes back, so a
+        # piece's bridges are g's inside it, with sides cut to the piece.
+        self.sides = {e: reach(without_edge(g.adj, *e), e[0], g.vertex_mask) for e in bridges(g)}
 
     def run(self, piece: int) -> DerivationStep:
         if piece in self.memo:
@@ -241,8 +245,7 @@ class _Composer:
         size = piece.bit_count()
         if size <= cap:
             return ExactStep(piece, _exact_d(g, piece))
-        sub, labels = induced_subgraph(g, piece)
-        piece_bridges = [(labels[u], labels[v]) for u, v in bridges(sub)]
+        piece_bridges = [(u, v) for u, v in self.sides if piece >> u & 1 and piece >> v & 1]
         if not piece_bridges:
             subset = _largest_tractable_subgraph(g, piece, cap)
             return SubgraphStep(piece, subset, _exact_d(g, subset))
@@ -257,20 +260,14 @@ class _Composer:
             return self._split(piece, (path[k - 1], path[k]))
 
         def balance(edge: tuple[int, int]) -> int:
-            return abs(2 * _side_of_bridge(g, piece, *edge).bit_count() - size)
+            return abs(2 * (self.sides[edge] & piece).bit_count() - size)
 
-        best_edge = min(piece_bridges, key=lambda e: (balance(e), e))
-        return self._split(piece, best_edge)
+        return self._split(piece, min(piece_bridges, key=lambda e: (balance(e), e)))
 
     def _split(self, piece: int, edge: tuple[int, int]) -> BridgeStep:
         u, v = min(edge), max(edge)
-        side_u = _side_of_bridge(self.g, piece, u, v)
+        side_u = self.sides[u, v] & piece
         return BridgeStep((u, v), self.run(side_u), self.run(piece & ~side_u))
-
-
-def _side_of_bridge(g: Graph, piece: int, u: int, v: int) -> int:
-    """Vertices of ``piece`` reachable from u once the bridge {u, v} is cut."""
-    return reach(without_edge(g.adj, u, v), u, piece)
 
 
 def bridge_compose_bound(

@@ -57,11 +57,12 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph6", metavar="STR", help="graph6-encoded graph")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exact-cap", type=int, default=EXACT_SEARCH_CAP,
-                   help=f"exact-search vertex cap (default {EXACT_SEARCH_CAP})")
-    p.add_argument("--allow-large-cap", action="store_true",
-                   help=f"permit --exact-cap above {EXACT_SEARCH_CAP} (memory grows as 4^n)")
+def _add_common(p: argparse.ArgumentParser, cap: bool = True) -> None:
+    if cap:
+        p.add_argument("--exact-cap", type=int, default=EXACT_SEARCH_CAP,
+                       help=f"exact-search vertex cap (default {EXACT_SEARCH_CAP})")
+        p.add_argument("--allow-large-cap", action="store_true",
+                       help=f"permit --exact-cap above {EXACT_SEARCH_CAP} (memory grows as 4^n)")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
 
 
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
                    help=f"search all 8^n assignments instead of 4^n (n <= {UNREDUCED_SEARCH_CAP})")
 
     p = sub.add_parser("table", help="family-value table for 3..10 vertices")
-    _add_common(p)
+    _add_common(p, cap=False)
     p.add_argument("--check", action="store_true", help="compare against the golden values")
     p.add_argument("--reduced", action="store_true", help="print fractions in lowest terms")
 
@@ -92,17 +93,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lc", help="local complementation; writes the new edge list")
     _add_graph_source(p)
-    _add_common(p)
     p.add_argument("--vertex", type=int, required=True, help="complementation vertex")
     return parser
 
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
-    if args.exact_cap < 1:
-        parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
-    if args.exact_cap > EXACT_SEARCH_CAP and not args.allow_large_cap:
-        parser.error(f"--exact-cap {args.exact_cap} exceeds {EXACT_SEARCH_CAP}; "
-                     "pass --allow-large-cap to override")
+    if "exact_cap" in args:  # table and lc take no cap
+        if args.exact_cap < 1:
+            parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
+        if args.exact_cap > EXACT_SEARCH_CAP and not args.allow_large_cap:
+            parser.error(f"--exact-cap {args.exact_cap} exceeds {EXACT_SEARCH_CAP}; "
+                         "pass --allow-large-cap to override")
     if args.command != "table":
         if len([s for s in (args.family, args.edges, args.graph6) if s]) != 1:
             parser.error("exactly one of --family, --edges, --graph6 is required")
@@ -195,7 +196,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         if mismatches:
             return EXIT_INTERNAL
-        print("check: all entries match")
+        if args.fmt == "text":  # json and csv stdout hold only the document
+            print("check: all entries match")
     return EXIT_OK
 
 

@@ -163,14 +163,16 @@ class BellOperator:
         return x & ~z, x & z, z & ~x
 
 
-def bell_terms(g: Graph, cap: int = TERM_ENUMERATION_CAP) -> BellOperator:
+def bell_terms(g: Graph) -> BellOperator:
     """Construct the full stabilizer-sum operator (all 2^n signed terms).
 
     Built incrementally: the block of subsets containing generator i is the
     block without it times g_i, one vectorized multiplication per generator.
     """
-    if g.n > cap:
-        raise CapExceededError(f"term enumeration needs 2^{g.n} terms, cap is 2^{cap}")
+    if g.n > TERM_ENUMERATION_CAP:
+        raise CapExceededError(
+            f"term enumeration needs 2^{g.n} terms, cap is 2^{TERM_ENUMERATION_CAP}"
+        )
     size = 1 << g.n
     x = np.zeros(size, dtype=np.uint32)
     z = np.zeros(size, dtype=np.uint32)

@@ -35,7 +35,3 @@ FAMILY_D: dict[GraphFamily, dict[int, Fraction]] = {
         7: _F(9, 16), 8: _F(9, 16), 9: _F(34, 64), 10: _F(34, 64),
     },
 }
-
-# Linear-cluster values used as chain-piece factors; a 2-vertex chain has
-# D = 1 (its operator is classically saturable).
-CHAIN_PIECE_D: dict[int, Fraction] = {2: _F(1), **FAMILY_D[GraphFamily.LINEAR_CLUSTER]}

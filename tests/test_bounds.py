@@ -10,17 +10,20 @@ from graphbell import (
     GraphFamily,
     InvalidGraphError,
     bridge_compose_bound,
+    bridges,
     build_family,
     chain_bound,
     classical_bound,
     from_edges,
     geometric_measure_lower_bound,
+    induced_subgraph,
     ppt_scope_flag,
     subgraph_bound,
     tree_certificate,
 )
 from graphbell.bounds import BridgeStep, ExactStep, SubgraphStep, replay
-from graphbell.table import CHAIN_PIECE_D
+from graphbell.graph import reach, without_edge
+from graphbell.table import FAMILY_D
 from helpers import compose_bridge, connected_graph_classes, random_connected_graph
 
 LC = GraphFamily.LINEAR_CLUSTER
@@ -95,6 +98,63 @@ class TestBridgeCompose:
         assert sorted(payload["derivation"]["bridge"]) == payload["derivation"]["bridge"]
 
 
+def _relabelled(rng: random.Random, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+def _bridged_cycles(rng: random.Random, blocks: int):
+    """Cycles of 3..6 vertices, some with a chord, joined into a tree by bridges."""
+    g = None
+    for _ in range(blocks):
+        k = rng.randint(3, 6)
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        if k > 3 and rng.random() < 0.5:
+            edges.append((0, rng.randint(2, k - 2)))
+        block = from_edges(k, edges)
+        g = block if g is None else compose_bridge(g, block, rng.randrange(g.n), rng.randrange(k))
+    return g
+
+
+def _split_graphs() -> list:
+    rng = random.Random(2004)
+    trees = [from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+             for n in (6, 9, 12, 14, 18, 24)]
+    cycles = [_bridged_cycles(rng, blocks) for blocks in (2, 3, 3, 4, 6)]
+    families = [build_family(fam, n) for fam in GraphFamily for n in (9, 14, 20)]
+    return [_relabelled(rng, g) for g in trees + cycles] + families
+
+
+def _vertices(step) -> int:
+    if isinstance(step, BridgeStep):
+        return _vertices(step.left) | _vertices(step.right)
+    return step.vertices if isinstance(step, ExactStep) else step.piece_vertices
+
+
+def _check_splits(g, step) -> None:
+    """Every BridgeStep cuts a bridge of its own piece, with u's side on the left."""
+    if not isinstance(step, BridgeStep):
+        return
+    piece = _vertices(step)
+    sub, labels = induced_subgraph(g, piece)
+    assert step.bridge in [(labels[a], labels[b]) for a, b in bridges(sub)]
+    u, v = step.bridge
+    assert _vertices(step.left) == reach(without_edge(g.adj, u, v), u, piece)
+    _check_splits(g, step.left)
+    _check_splits(g, step.right)
+
+
+class TestSplitSoundness:
+    @pytest.mark.parametrize("cap", range(1, 9))
+    def test_every_split_cuts_a_bridge_of_its_piece(self, cap):
+        for g in _split_graphs():
+            modes = (False, True) if g.n <= 14 else (False,)
+            for exhaustive in modes:
+                bound = bridge_compose_bound(g, exact_cap=cap, exhaustive=exhaustive)
+                _check_splits(g, bound.derivation)
+
+
 class TestProductRuleGuard:
     def test_clique6_beats_product_of_triangles(self):
         d_fc6 = classical_bound(build_family(FC, 6)).d
@@ -144,7 +204,7 @@ class TestSubgraphBound:
 class TestChainBound:
     def test_exact_for_short_chains(self):
         for length in range(2, 11):
-            assert chain_bound(length) == CHAIN_PIECE_D[length]
+            assert chain_bound(length) == FAMILY_D[LC].get(length, 1)
             assert chain_bound(length) == classical_bound(build_family(LC, length)).d
 
     def test_seven_unbeaten_by_partitions(self):

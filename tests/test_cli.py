@@ -109,10 +109,9 @@ class TestBoundCommand:
 
 @pytest.mark.parametrize("command", [
     ["bound", "--family", "lc", "--n", "5"],
-    ["table"],
+    ["bound", "--family", "lc", "--n", "5", "--unreduced"],
     ["verify", "--family", "lc", "--n", "5"],
     ["compose", "--family", "lc", "--n", "5"],
-    ["lc", "--family", "lc", "--n", "5", "--vertex", "0"],
 ])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_exact_cap_below_one_is_usage_error(capsys, command, cap):
@@ -120,6 +119,18 @@ def test_exact_cap_below_one_is_usage_error(capsys, command, cap):
         main([*command, "--exact-cap", cap])
     assert exc.value.code == 4
     assert "--exact-cap must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((["lc", "--family", "lc", "--n", "5", "--vertex", "0"], flag)
+      for flag in (["--exact-cap", "3"], ["--allow-large-cap"], ["--format", "json"])),
+    *((["table"], flag) for flag in (["--exact-cap", "3"], ["--allow-large-cap"])),
+])
+def test_flags_a_subcommand_never_reads_are_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTableCommand:
@@ -152,6 +163,14 @@ class TestTableCommand:
         _, out, _ = run(capsys, "table", "--format", "json")
         payload = json.loads(out)
         assert payload["st"]["10"] == [17, 32]
+
+    def test_check_keeps_json_and_csv_documents_clean(self, capsys):
+        code, out, _ = run(capsys, "table", "--format", "json", "--check")
+        assert code == 0
+        assert json.loads(out)["st"]["10"] == [17, 32]
+        code, out, _ = run(capsys, "table", "--format", "csv", "--check")
+        assert code == 0
+        assert len(out.splitlines()) == 33
 
 
 class TestVerifyCommand:
