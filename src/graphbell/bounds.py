@@ -173,27 +173,6 @@ def _exact_d(g: Graph, piece: int) -> Fraction:
 _EXHAUSTIVE_PIECE_LIMIT = 50_000
 
 
-def _path_order(g: Graph, piece: int) -> list[int] | None:
-    """Vertices of a path-shaped piece in path order, or None if not a path."""
-    verts = list(iter_bits(piece))
-    if len(verts) < 2:
-        return None
-    degrees = {v: (g.adj[v] & piece).bit_count() for v in verts}
-    ends = sorted(v for v in verts if degrees[v] == 1)
-    if len(ends) != 2 or any(d > 2 for d in degrees.values()):
-        return None
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    while len(order) < len(verts):
-        step = g.adj[order[-1]] & piece & ~seen
-        if step == 0 or step.bit_count() != 1:
-            return None  # disconnected or branching
-        nxt = step.bit_length() - 1
-        order.append(nxt)
-        seen |= step
-    return order
-
-
 def _best_path_partition(length: int, max_piece: int) -> tuple[list[Fraction], list[int]]:
     """DP over contiguous partitions of a chain into pieces of 1..max_piece.
 
@@ -252,12 +231,20 @@ class _Composer:
         if self.exhaustive:
             return min((self._split(piece, e) for e in piece_bridges),
                        key=lambda s: (s.value, s.bridge))
-        path = _path_order(g, piece) if cap >= 3 else None
-        if path is not None:
-            # chain DP knows the optimal contiguous partition of a path
+        if cap >= 3 and len(piece_bridges) == size - 1 and all(
+            (g.adj[v] & piece).bit_count() <= 2 for v in iter_bits(piece)
+        ):
+            # a path: the chain DP knows its optimal contiguous partition, so
+            # cut first[size] vertices off its lowest-labelled end
+            end = next(v for v in iter_bits(piece) if (g.adj[v] & piece).bit_count() == 1)
             _, first = _best_path_partition(size, cap)
-            k = first[size]
-            return self._split(piece, (path[k - 1], path[k]))
+
+            def end_side(edge: tuple[int, int]) -> int:
+                side = self.sides[edge] & piece
+                return side if side >> end & 1 else piece & ~side
+
+            return self._split(piece, next(
+                e for e in piece_bridges if end_side(e).bit_count() == first[size]))
 
         def balance(edge: tuple[int, int]) -> int:
             return abs(2 * (self.sides[edge] & piece).bit_count() - size)
@@ -312,23 +299,6 @@ class TreeCertificate:
     bound: Fraction
 
 
-def _farthest(g: Graph, start: int) -> tuple[int, int]:
-    dist = {start: 0}
-    frontier = [start]
-    last = start
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in iter_bits(g.adj[v]):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        if nxt:
-            last = max(nxt, key=lambda v: (dist[v], -v))
-        frontier = nxt
-    return last, dist[last]
-
-
 def tree_certificate(g: Graph) -> TreeCertificate:
     """Bound a tree through its longest path.
 
@@ -340,9 +310,13 @@ def tree_certificate(g: Graph) -> TreeCertificate:
         raise InvalidGraphError("tree certificate requires a tree")
     if g.n == 1:
         return TreeCertificate(1, Fraction(1))
-    u, _ = _farthest(g, 0)
-    _, dist = _farthest(g, u)
-    path_len = dist + 1
+    # each round of stripping every leaf takes one vertex off both ends of
+    # every longest path, until its middle vertex or middle edge remains
+    alive, rounds = g.vertex_mask, 0
+    while alive.bit_count() > 2:
+        alive &= ~sum(1 << v for v in iter_bits(alive) if (g.adj[v] & alive).bit_count() == 1)
+        rounds += 1
+    path_len = 2 * rounds + alive.bit_count()
     return TreeCertificate(path_len, chain_bound(path_len))
 
 

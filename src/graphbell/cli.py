@@ -73,8 +73,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bound", help="exact classical bound of one graph")
     _add_graph_source(p)
     _add_common(p)
-    p.add_argument("--unreduced", action="store_true",
-                   help=f"search all 8^n assignments instead of 4^n (n <= {UNREDUCED_SEARCH_CAP})")
 
     p = sub.add_parser("table", help="family-value table for 3..10 vertices")
     _add_common(p, cap=False)
@@ -130,7 +128,7 @@ def _frac(d: Fraction) -> str:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    report = classical_bound(g, pin_z=not args.unreduced, exact_cap=args.exact_cap)
+    report = classical_bound(g, exact_cap=args.exact_cap)
     payload = report.to_json_dict()
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -216,11 +214,11 @@ def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str
     report = classical_bound(g, exact_cap=exact_cap)
     checks.append(("classical-bound", True, f"c = {report.c}, d = {_frac(report.d)}"))
     if g.n <= UNREDUCED_SEARCH_CAP:
-        c_full, _, _ = operator_bound(bell_terms(g), pin_z=False)
+        terms = bell_terms(g)
+        c_full, _, _ = operator_bound(terms, pin_z=False)
         checks.append(("z-restriction-equivalence", c_full == report.c,
                        f"restricted c = {report.c}, unrestricted c = {c_full}"))
-        permuted = apply_permutation(bell_terms(g), 0, "1YXZ")
-        c_perm, _, _ = operator_bound(permuted, pin_z=False)
+        c_perm, _, _ = operator_bound(apply_permutation(terms, 0, "1YXZ"), pin_z=False)
         checks.append(("observable-permutation-invariance", c_perm == report.c,
                        f"c after X<->Y swap on qubit 0 = {c_perm}"))
     else:

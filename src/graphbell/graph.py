@@ -56,17 +56,9 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def neighbors(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
-        return self.neighbors(v).bit_count()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return bool(self.adj[i] >> j & 1)
+        self._check_vertex(v)
+        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, sorted."""

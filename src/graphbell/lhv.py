@@ -21,14 +21,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError
-from .graph import Graph, connected_components, induced_subgraph, iter_bits
+from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, PauliString, bell_terms
 
 EXACT_SEARCH_CAP = 12
 UNREDUCED_SEARCH_CAP = 8
 
 METHOD_EXHAUSTIVE = "exhaustive"
-METHOD_EXHAUSTIVE_UNREDUCED = "exhaustive-unreduced"
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,6 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
-def _term_keys(b: BellOperator, restrict_z: bool) -> tuple[np.ndarray, int]:
-    """Pack each term's letter-class masks into an assignment-space key."""
-    xq, yq, zq = b.letter_class_masks()
-    n = b.n
-    if restrict_z:
-        return (xq << n) | yq, 2 * n
-    return (xq << (2 * n)) | (yq << n) | zq, 3 * n
-
-
 def _fwht(values: np.ndarray) -> np.ndarray:
     """In-place integer Walsh-Hadamard transform (no normalization)."""
     size = values.shape[0]
@@ -110,21 +100,22 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _search_transform(b: BellOperator, restrict_z: bool) -> tuple[int, int]:
-    """Exact (max |value|, first argmax index) over the whole assignment space."""
-    keys, bits = _term_keys(b, restrict_z)
-    table = np.zeros(1 << bits, dtype=np.int32)
+def _search_transform(b: BellOperator, pin_z: bool) -> tuple[int, int, int]:
+    """Exact (max |value|, first argmax index, class count) over the assignment space.
+
+    Each term's letter-class masks (X, Y and, unless Z is pinned, Z) are
+    packed into one key, most significant first.
+    """
+    classes = b.letter_class_masks()[: 2 if pin_z else 3]
+    keys = classes[0]
+    for mask in classes[1:]:
+        keys <<= b.n
+        keys |= mask
+    table = np.zeros(1 << (len(classes) * b.n), dtype=np.int32)
     np.add.at(table, keys, b.signs.astype(np.int32))
     spectrum = _fwht(table)
     index = int(np.argmax(np.abs(spectrum)))
-    return int(abs(int(spectrum[index]))), index
-
-
-def _index_to_assignment(index: int, n: int, restrict_z: bool) -> Assignment:
-    mask = (1 << n) - 1
-    if restrict_z:
-        return Assignment(index >> n, index & mask, 0)
-    return Assignment(index >> (2 * n), (index >> n) & mask, index & mask)
+    return int(abs(int(spectrum[index]))), index, len(classes)
 
 
 def operator_bound(
@@ -145,18 +136,15 @@ def operator_bound(
     if n > cap:
         base = 4 if pin_z else 8
         raise CapExceededError(f"search space {base}^{n} exceeds cap n <= {cap}")
-    c, index = _search_transform(b, pin_z)
-    space = 1 << (2 * n if pin_z else 3 * n)
-    return c, _index_to_assignment(index, n, pin_z), space
+    c, index, classes = _search_transform(b, pin_z)
+    masks = [index >> (k * n) & ((1 << n) - 1) for k in reversed(range(classes))]
+    return c, Assignment(*masks), 1 << (classes * n)
 
 
-def classical_bound(
-    g: Graph,
-    pin_z: bool = True,
-    exact_cap: int = EXACT_SEARCH_CAP,
-) -> BoundReport:
+def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
     """Exact classical bound C(G) and D(G) = C(G)/2^n of a graph's Bell operator.
 
+    The search runs over the 4^n Z-pinned space, which is exact for graphs.
     Disconnected graphs factor: the operator is a tensor product over
     components, so C is the product of the per-component maxima and the
     argmax is assembled from the per-component argmaxes.
@@ -166,28 +154,25 @@ def classical_bound(
             f"n={g.n} exceeds the exact-search cap {exact_cap}; "
             "use the compositional bounds for larger graphs"
         )
-    comp_cap = exact_cap if pin_z else min(exact_cap, UNREDUCED_SEARCH_CAP)
-    comps = connected_components(g)
     c_total = 1
-    neg_x = neg_y = neg_z = 0
+    neg_x = neg_y = 0
     space_total = 0
-    for comp in comps:
+    for comp in connected_components(g):
         sub, labels = induced_subgraph(g, comp)
-        c, argmax, space = operator_bound(bell_terms(sub), pin_z=pin_z, cap=comp_cap)
+        c, argmax, space = operator_bound(bell_terms(sub), pin_z=True, cap=exact_cap)
         c_total *= c
         space_total += space
         for k, v in enumerate(labels):
             neg_x |= (argmax.neg_x >> k & 1) << v
             neg_y |= (argmax.neg_y >> k & 1) << v
-            neg_z |= (argmax.neg_z >> k & 1) << v
     assert 0 < c_total <= 1 << g.n
     return BoundReport(
         n=g.n,
         c=c_total,
         d=Fraction(c_total, 1 << g.n),
-        argmax=Assignment(neg_x, neg_y, neg_z),
+        argmax=Assignment(neg_x, neg_y),
         search_space=space_total,
-        method=METHOD_EXHAUSTIVE if pin_z else METHOD_EXHAUSTIVE_UNREDUCED,
+        method=METHOD_EXHAUSTIVE,
     )
 
 

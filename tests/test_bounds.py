@@ -89,6 +89,14 @@ class TestBridgeCompose:
             assert replay(bound.derivation) == bound.value
             assert bound.value <= 1
 
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_relabelled_paths_compose_like_the_chain(self, n):
+        rng = random.Random(n)
+        chain = build_family(LC, n)
+        for cap in range(3, 11):
+            assert (bridge_compose_bound(_relabelled(rng, chain), exact_cap=cap).value
+                    == bridge_compose_bound(chain, exact_cap=cap).value)
+
     def test_json_round_trip_structure(self):
         bound = bridge_compose_bound(build_family(LC, 8), exact_cap=4)
         payload = bound.to_json_dict()
@@ -255,6 +263,16 @@ class TestTreeCertificate:
             tree = from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
             cert = tree_certificate(tree)
             assert classical_bound(tree).d <= cert.bound
+
+    @pytest.mark.parametrize("n", range(1, 32))
+    def test_longest_path_is_networkx_diameter(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        for _ in range(20):
+            tree = _relabelled(rng, from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+            nx_tree = nx.Graph(tree.edges())
+            nx_tree.add_nodes_from(range(n))
+            assert tree_certificate(tree).longest_path_length == nx.diameter(nx_tree) + 1
 
 
 class TestWitnessCorollaries:

@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from graphbell import GraphFamily, build_family, parse_edge_list, render_edge_list
-from graphbell.cli import main
+from graphbell.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -50,15 +53,6 @@ class TestBoundCommand:
         record = dict(zip(header.split(","), row.split(",")))
         assert record["c"] == "12"
 
-    def test_unreduced_search(self, capsys):
-        code, out, _ = run(capsys, "bound", "--family", "fc", "--n", "3", "--unreduced",
-                           "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["method"] == "exhaustive-unreduced"
-        assert payload["search_space"] == 8**3
-        assert payload["c"] == 6
-
     def test_graph6_source(self, capsys):
         nx = pytest.importorskip("networkx")
         g = build_family(GraphFamily.LINEAR_CLUSTER, 5)
@@ -93,7 +87,7 @@ class TestBoundCommand:
         assert code == 4
         assert "cannot read edge list" in err
 
-    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--method", "direct"]])
+    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--method", "direct"], ["--unreduced"]])
     def test_removed_engine_flags_are_unknown(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--family", "lc", "--n", "5", *flags])
@@ -109,7 +103,7 @@ class TestBoundCommand:
 
 @pytest.mark.parametrize("command", [
     ["bound", "--family", "lc", "--n", "5"],
-    ["bound", "--family", "lc", "--n", "5", "--unreduced"],
+    ["bound", "--family", "lc", "--n", "5", "--format", "json"],
     ["verify", "--family", "lc", "--n", "5"],
     ["compose", "--family", "lc", "--n", "5"],
 ])
@@ -131,6 +125,18 @@ def test_flags_a_subcommand_never_reads_are_rejected(capsys, command, flag):
         main([*command, *flag])
     assert exc.value.code == 4
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_documents_exactly_the_defined_flags():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for p in subparsers.choices.values() for a in p._actions
+               for flag in a.option_strings if flag.startswith("--") and flag != "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    written = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert sorted(defined - written) == []
+    assert sorted(written - defined) == []
 
 
 class TestTableCommand:

@@ -43,6 +43,10 @@ class TestGraphInvariants:
         with pytest.raises(InvalidGraphError):
             Graph(32, tuple([0] * 32))
 
+    def test_degree_rejects_out_of_range_vertex(self):
+        with pytest.raises(InvalidGraphError):
+            build_family(GraphFamily.LINEAR_CLUSTER, 5).degree(5)
+
     def test_from_edges_duplicates_idempotent(self):
         assert from_edges(3, [(0, 1), (1, 0), (0, 1)]) == from_edges(3, [(0, 1)])
 

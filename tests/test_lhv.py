@@ -140,9 +140,9 @@ class TestClassicalBound:
         report = classical_bound(FC3)
         assert report.search_space == 4**3
         assert report.method == "exhaustive"
-        report = classical_bound(FC3, pin_z=False)
-        assert report.search_space == 8**3
-        assert report.method == "exhaustive-unreduced"
+        c, _, space = operator_bound(bell_terms(FC3), pin_z=False)
+        assert space == 8**3
+        assert c == 6
 
     def test_cap_refused(self):
         with pytest.raises(CapExceededError):
