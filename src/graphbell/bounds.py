@@ -133,8 +133,8 @@ def subgraph_bound(g: Graph, subset: int, d_sub: Fraction) -> Fraction:
     """Bound D(G) from the exact D of an induced subgraph on ``subset`` (see SubgraphStep)."""
     if subset == 0 or subset & ~g.vertex_mask:
         raise InvalidGraphError("subset must be a nonempty vertex set of the graph")
-    if d_sub > 1:
-        raise ValueError(f"d_sub must be at most 1, got {d_sub}")
+    if not 0 < d_sub <= 1:
+        raise ValueError(f"d_sub must be in (0, 1], got {d_sub}")
     return SubgraphStep(g.vertex_mask, subset, Fraction(d_sub)).value
 
 

@@ -23,13 +23,7 @@ from .graph import (
     parse_graph6,
     render_edge_list,
 )
-from .lhv import (
-    EXACT_SEARCH_CAP,
-    UNREDUCED_SEARCH_CAP,
-    apply_permutation,
-    classical_bound,
-    operator_bound,
-)
+from .lhv import EXACT_SEARCH_CAP, apply_permutation, classical_bound, operator_bound
 from .oracle import DENSE_CAP, check_stabilized, quantum_bell_value
 from .stabilizer import bell_terms
 from .table import FAMILY_D, FAMILY_SIZES
@@ -39,6 +33,8 @@ EXIT_NO_VIOLATION = 2
 EXIT_CAP = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
+
+UNREDUCED_SEARCH_CAP = 8  # verify runs its two 8^n checks up to this n
 
 _FAMILY_CODES = {f.value: f for f in GraphFamily}
 
@@ -61,8 +57,6 @@ def _add_common(p: argparse.ArgumentParser, cap: bool = True) -> None:
     if cap:
         p.add_argument("--exact-cap", type=int, default=EXACT_SEARCH_CAP,
                        help=f"exact-search vertex cap (default {EXACT_SEARCH_CAP})")
-        p.add_argument("--allow-large-cap", action="store_true",
-                       help=f"permit --exact-cap above {EXACT_SEARCH_CAP} (memory grows as 4^n)")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
 
 
@@ -99,14 +93,13 @@ def _validate(args: argparse.Namespace, parser: _Parser) -> None:
     if "exact_cap" in args:  # table and lc take no cap
         if args.exact_cap < 1:
             parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
-        if args.exact_cap > EXACT_SEARCH_CAP and not args.allow_large_cap:
-            parser.error(f"--exact-cap {args.exact_cap} exceeds {EXACT_SEARCH_CAP}; "
-                         "pass --allow-large-cap to override")
     if args.command != "table":
         if len([s for s in (args.family, args.edges, args.graph6) if s]) != 1:
             parser.error("exactly one of --family, --edges, --graph6 is required")
         if args.family and args.n is None:
             parser.error("--family requires --n")
+        if args.n is not None and not args.family:
+            parser.error("--n goes only with --family")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

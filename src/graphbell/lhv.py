@@ -25,7 +25,7 @@ from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, PauliString, bell_terms
 
 EXACT_SEARCH_CAP = 12
-UNREDUCED_SEARCH_CAP = 8
+SEARCH_TABLE_BYTES = 1 << 30
 
 METHOD_EXHAUSTIVE = "exhaustive"
 
@@ -100,45 +100,39 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _search_transform(b: BellOperator, pin_z: bool) -> tuple[int, int, int]:
-    """Exact (max |value|, first argmax index, class count) over the assignment space.
-
-    Each term's letter-class masks (X, Y and, unless Z is pinned, Z) are
-    packed into one key, most significant first.
-    """
-    classes = b.letter_class_masks()[: 2 if pin_z else 3]
-    keys = classes[0]
-    for mask in classes[1:]:
-        keys <<= b.n
-        keys |= mask
-    table = np.zeros(1 << (len(classes) * b.n), dtype=np.int32)
-    np.add.at(table, keys, b.signs.astype(np.int32))
-    spectrum = _fwht(table)
-    index = int(np.argmax(np.abs(spectrum)))
-    return int(abs(int(spectrum[index]))), index, len(classes)
-
-
-def operator_bound(
-    b: BellOperator,
-    pin_z: bool = False,
-    cap: int | None = None,
-) -> tuple[int, Assignment, int]:
+def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over LHV models for an arbitrary term list.
 
     Returns (c, argmax, search_space). With ``pin_z`` set, the Z settings are
     pinned to +1, shrinking the space from 8^n to 4^n; that is only valid for
     graph-form operators. The argmax is the lexicographically smallest
     (neg_x, neg_y, neg_z) triple achieving the maximum.
+
+    The search fills one int32 table with a cell per assignment; a table over
+    SEARCH_TABLE_BYTES is refused before anything is allocated. The transform
+    peaks at about twice the table.
     """
     n = b.n
-    if cap is None:
-        cap = EXACT_SEARCH_CAP if pin_z else UNREDUCED_SEARCH_CAP
-    if n > cap:
-        base = 4 if pin_z else 8
-        raise CapExceededError(f"search space {base}^{n} exceeds cap n <= {cap}")
-    c, index, classes = _search_transform(b, pin_z)
-    masks = [index >> (k * n) & ((1 << n) - 1) for k in reversed(range(classes))]
-    return c, Assignment(*masks), 1 << (classes * n)
+    classes = 2 if pin_z else 3
+    space = 1 << (classes * n)
+    if 4 * space > SEARCH_TABLE_BYTES:
+        raise CapExceededError(
+            f"search space {1 << classes}^{n} needs a {4 * space}-byte table, "
+            f"over the {SEARCH_TABLE_BYTES}-byte limit"
+        )
+    # each term's letter-class masks (X, Y and, unless Z is pinned, Z) are
+    # packed into one key, most significant first
+    masks = b.letter_class_masks()[:classes]
+    keys = masks[0]
+    for mask in masks[1:]:
+        keys <<= n
+        keys |= mask
+    table = np.zeros(space, dtype=np.int32)
+    np.add.at(table, keys, b.signs.astype(np.int32))
+    spectrum = _fwht(table)
+    index = int(np.argmax(np.abs(spectrum)))
+    argmax = [index >> (k * n) & ((1 << n) - 1) for k in reversed(range(classes))]
+    return int(abs(int(spectrum[index]))), Assignment(*argmax), space
 
 
 def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
@@ -159,7 +153,7 @@ def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
     space_total = 0
     for comp in connected_components(g):
         sub, labels = induced_subgraph(g, comp)
-        c, argmax, space = operator_bound(bell_terms(sub), pin_z=True, cap=exact_cap)
+        c, argmax, space = operator_bound(bell_terms(sub), pin_z=True)
         c_total *= c
         space_total += space
         for k, v in enumerate(labels):

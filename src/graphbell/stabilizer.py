@@ -82,9 +82,6 @@ class PauliString:
                 raise ValueError(f"invalid Pauli letter {ch!r}")
         return cls(len(s), x, z, sign)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 def identity(n: int) -> PauliString:
     return PauliString(n, 0, 0, 1)
@@ -149,9 +146,6 @@ class BellOperator:
 
     def term(self, j: int) -> PauliString:
         return PauliString(self.n, int(self.x_masks[j]), int(self.z_masks[j]), int(self.signs[j]))
-
-    def __getitem__(self, j: int) -> PauliString:
-        return self.term(j)
 
     def __iter__(self):
         return (self.term(j) for j in range(len(self)))

@@ -193,8 +193,9 @@ class TestSubgraphBound:
         g = build_family(LC, 4)
         with pytest.raises(InvalidGraphError):
             subgraph_bound(g, 0, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            subgraph_bound(g, 0b0111, Fraction(3, 2))
+        for d_sub in (Fraction(3, 2), Fraction(0), Fraction(-1)):
+            with pytest.raises(ValueError):
+                subgraph_bound(g, 0b0111, d_sub)
 
     def test_never_below_exact_value_exhaustive(self):
         # every connected graph class up to 6 vertices, every proper subset

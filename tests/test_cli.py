@@ -69,10 +69,26 @@ class TestBoundCommand:
             main(["bound"])
         assert exc.value.code == 4
 
-    def test_large_cap_needs_override_flag(self, capsys):
+    def test_exact_cap_above_default_needs_no_second_flag(self, capsys):
+        code, out, _ = run(capsys, "bound", "--family", "lc", "--n", "5", "--exact-cap", "13")
+        assert code == 0
+        assert "d = 5/8" in out
+
+    def test_search_over_table_limit_exits_cap_before_allocating(self, capsys):
+        # a 4^20 table is 4 TiB: a missing guard fails here with MemoryError
+        code, _, err = run(capsys, "bound", "--family", "lc", "--n", "20", "--exact-cap", "20")
+        assert code == 3
+        assert "byte limit" in err
+
+    @pytest.mark.parametrize("flag", ["--edges", "--graph6"])
+    def test_n_without_family_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "p3.txt"
+        path.write_text("3\n0 1\n1 2\n")
+        source = str(path) if flag == "--edges" else "Bg"  # both the 3-vertex path
         with pytest.raises(SystemExit) as exc:
-            main(["bound", "--family", "lc", "--n", "5", "--exact-cap", "13"])
+            main(["bound", flag, source, "--n", "9"])
         assert exc.value.code == 4
+        assert "--n goes only with --family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,content", [
         (".", None),  # the temporary directory itself
@@ -87,7 +103,8 @@ class TestBoundCommand:
         assert code == 4
         assert "cannot read edge list" in err
 
-    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--method", "direct"], ["--unreduced"]])
+    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--method", "direct"], ["--unreduced"],
+                                       ["--allow-large-cap"]])
     def test_removed_engine_flags_are_unknown(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--family", "lc", "--n", "5", *flags])
@@ -205,6 +222,22 @@ class TestVerifyCommand:
         assert "stabilizer-eigenvalue" in names
         assert "local-complementation-invariance" in names
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "4", "--format", "csv")
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert rows[0] == "check,passed,detail"
+        assert rows[1].startswith("stabilizer-eigenvalue,true,")
+        assert len(rows) == 1 + 6
+
+    def test_unpinned_checks_skipped_above_their_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "9")
+        assert code == 0
+        skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
+        assert [line.split()[1] for line in skipped] == [
+            "z-restriction-equivalence:", "observable-permutation-invariance:"]
+        assert all("capped at n <= 8" in line for line in skipped)
+
 
 class TestComposeCommand:
     def test_chain30_bound(self, capsys):
@@ -234,6 +267,22 @@ class TestComposeCommand:
         greedy_code, greedy_out, _ = run(capsys, "compose", "--family", "lc", "--n", "16",
                                          "--format", "json")
         assert Fraction(*json.loads(out)["value"]) <= Fraction(*json.loads(greedy_out)["value"])
+
+    def test_exhaustive_piece_limit_exits_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("graphbell.bounds._EXHAUSTIVE_PIECE_LIMIT", 10)
+        code, _, err = run(capsys, "compose", "--family", "st", "--n", "16", "--exact-cap", "3",
+                           "--exhaustive")
+        assert code == 3
+        assert "explored too many pieces" in err
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "16", "--format", "csv")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "value_num,value_den,is_exact"
+        num, den, exact = row.split(",")
+        assert Fraction(int(num), int(den)) < 1
+        assert exact == "False"
 
 
 class TestLcCommand:

@@ -148,6 +148,24 @@ class TestClassicalBound:
         with pytest.raises(CapExceededError):
             classical_bound(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
+    @pytest.mark.parametrize("n, pin_z", [(20, True), (14, False)])
+    def test_table_over_limit_refused_before_allocating(self, n, pin_z):
+        # 4 TiB and 16 TiB tables: a missing guard fails here with MemoryError
+        terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, n))
+        with pytest.raises(CapExceededError, match="byte limit"):
+            operator_bound(terms, pin_z=pin_z)
+
+    @pytest.mark.parametrize("pin_z, fits, refused", [(True, 5, 6), (False, 3, 4)])
+    def test_table_limit_boundary(self, monkeypatch, pin_z, fits, refused):
+        monkeypatch.setattr("graphbell.lhv.SEARCH_TABLE_BYTES", 4 * 4**5)
+        c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, fits)),
+                                     pin_z=pin_z)
+        assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, fits)).c,
+                              (4 if pin_z else 8) ** fits)
+        with pytest.raises(CapExceededError):
+            operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, refused)),
+                           pin_z=pin_z)
+
     def test_disconnected_factorizes(self):
         g = from_edges(5, [(0, 1), (1, 2), (3, 4)])  # path-3 plus an edge
         report = classical_bound(g)
