@@ -35,10 +35,8 @@ from .graph import (
 from .lhv import (
     Assignment,
     BoundReport,
-    apply_permutation,
     bell_value,
     classical_bound,
-    evaluate_term,
     operator_bound,
 )
 from .oracle import (
@@ -50,7 +48,7 @@ from .oracle import (
     schmidt_profile,
     statevector,
 )
-from .stabilizer import BellOperator, PauliString, bell_terms, element, generator, multiply
+from .stabilizer import BellOperator, PauliString, apply_permutation, bell_terms, generator
 
 __all__ = [
     "Assignment",
@@ -76,8 +74,6 @@ __all__ = [
     "check_stabilized",
     "classical_bound",
     "connected_components",
-    "element",
-    "evaluate_term",
     "from_edges",
     "generator",
     "geometric_measure_lower_bound",
@@ -85,7 +81,6 @@ __all__ = [
     "is_connected",
     "is_tree",
     "local_complement",
-    "multiply",
     "operator_bound",
     "parse_edge_list",
     "parse_graph6",

@@ -23,9 +23,9 @@ from .graph import (
     parse_graph6,
     render_edge_list,
 )
-from .lhv import EXACT_SEARCH_CAP, apply_permutation, classical_bound, operator_bound
+from .lhv import EXACT_SEARCH_CAP, classical_bound, operator_bound
 from .oracle import DENSE_CAP, check_stabilized, quantum_bell_value
-from .stabilizer import bell_terms
+from .stabilizer import apply_permutation, bell_terms
 from .table import FAMILY_D, FAMILY_SIZES
 
 EXIT_OK = 0
@@ -304,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: use `graphbell compose` for graphs beyond the exact cap", file=sys.stderr)
+        if args.command in ("bound", "verify"):
+            print("hint: use `graphbell compose` for graphs beyond the exact cap", file=sys.stderr)
         return EXIT_CAP
     except (EdgeListParseError, InvalidGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .graph import Graph, connected_components, induced_subgraph
-from .stabilizer import BellOperator, PauliString, bell_terms
+from .stabilizer import BellOperator, bell_terms
 
 EXACT_SEARCH_CAP = 12
 SEARCH_TABLE_BYTES = 1 << 30
@@ -62,16 +62,6 @@ class BoundReport:
             "search_space": self.search_space,
             "method": self.method,
         }
-
-
-def evaluate_term(t: PauliString, a: Assignment) -> int:
-    """Value of one term under an assignment: the sign times -1 per negated factor."""
-    flips = (
-        (t.x_letters & a.neg_x).bit_count()
-        + (t.y_letters & a.neg_y).bit_count()
-        + (t.z_letters & a.neg_z).bit_count()
-    )
-    return t.sign if flips % 2 == 0 else -t.sign
 
 
 def bell_value(b: BellOperator, a: Assignment) -> int:
@@ -141,17 +131,21 @@ def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
     The search runs over the 4^n Z-pinned space, which is exact for graphs.
     Disconnected graphs factor: the operator is a tensor product over
     components, so C is the product of the per-component maxima and the
-    argmax is assembled from the per-component argmaxes.
+    argmax is assembled from the per-component argmaxes. Each component is
+    searched on its own, so ``exact_cap`` bounds the largest component.
     """
-    if g.n > exact_cap:
+    comps = connected_components(g)
+    largest = max(comp.bit_count() for comp in comps)
+    if largest > exact_cap:
+        subject = f"n={g.n}" if len(comps) == 1 else f"a {largest}-vertex component"
         raise CapExceededError(
-            f"n={g.n} exceeds the exact-search cap {exact_cap}; "
+            f"{subject} exceeds the exact-search cap {exact_cap}; "
             "use the compositional bounds for larger graphs"
         )
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0
-    for comp in connected_components(g):
+    for comp in comps:
         sub, labels = induced_subgraph(g, comp)
         c, argmax, space = operator_bound(bell_terms(sub), pin_z=True)
         c_total *= c
@@ -168,35 +162,3 @@ def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
         search_space=space_total,
         method=METHOD_EXHAUSTIVE,
     )
-
-
-_LETTER_CODES = {"1": 0, "X": 1, "Z": 2, "Y": 3}
-
-
-def apply_permutation(b: BellOperator, qubit: int, perm: dict[str, str] | str) -> BellOperator:
-    """Replace the letter on one qubit of every term by its image under a permutation.
-
-    ``perm`` maps each of '1', 'X', 'Y', 'Z' to a distinct letter, given as a
-    dict or as a 4-character string listing the images of '1XYZ' in order.
-    Signs are preserved. The result is a plain term list; it need not be a
-    stabilizer group.
-    """
-    if isinstance(perm, str):
-        if len(perm) != 4:
-            raise ValueError("permutation string must list the images of '1XYZ'")
-        perm = dict(zip("1XYZ", perm))
-    if sorted(perm) != sorted("1XYZ") or sorted(perm.values()) != sorted("1XYZ"):
-        raise ValueError("permutation must be a bijection on {1, X, Y, Z}")
-    if not 0 <= qubit < b.n:
-        raise ValueError(f"qubit {qubit} out of range")
-    # code = x_bit + 2*z_bit, i.e. 0='1', 1='X', 2='Z', 3='Y'
-    lut = np.zeros(4, dtype=np.uint32)
-    for src, dst in perm.items():
-        lut[_LETTER_CODES[src]] = _LETTER_CODES[dst]
-    xb = (b.x_masks >> qubit) & 1
-    zb = (b.z_masks >> qubit) & 1
-    codes = lut[xb + 2 * zb]
-    bit = np.uint32(1 << qubit)
-    x = (b.x_masks & ~bit) | ((codes & 1) << qubit).astype(np.uint32)
-    z = (b.z_masks & ~bit) | ((codes >> 1) << qubit).astype(np.uint32)
-    return BellOperator(b.n, x, z, b.signs.copy())

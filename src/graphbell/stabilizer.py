@@ -1,10 +1,9 @@
-"""Pauli-string algebra with phase tracking and stabilizer-group construction.
+"""Pauli strings and the stabilizer group of a graph state.
 
 A Pauli string is stored as an (x_mask, z_mask, sign) triple: the letter on
 qubit k is decoded from the bit pair (x, z) as (0,0)=identity, (1,0)=X,
-(1,1)=Y, (0,1)=Z. Phases are tracked mod 4 internally; the public type only
-ever carries a real sign, which is all that can occur for products of
-commuting generators.
+(1,1)=Y, (0,1)=Z. Every element of a graph state's stabilizer group has a
+closed form with a real sign, so no complex phase is ever tracked.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidGraphError
+from .errors import CapExceededError
 from .graph import Graph
 
 TERM_ENUMERATION_CAP = 20
@@ -34,19 +33,6 @@ class PauliString:
             raise ValueError("mask bits outside the qubit range")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def x_letters(self) -> int:
-        """Mask of qubits carrying an X letter."""
-        return self.x_mask & ~self.z_mask
-
-    @property
-    def y_letters(self) -> int:
-        return self.x_mask & self.z_mask
-
-    @property
-    def z_letters(self) -> int:
-        return self.z_mask & ~self.x_mask
 
     def letter(self, k: int) -> str:
         """Letter at qubit k, one of '1XYZ'."""
@@ -83,48 +69,10 @@ class PauliString:
         return cls(len(s), x, z, sign)
 
 
-def identity(n: int) -> PauliString:
-    return PauliString(n, 0, 0, 1)
-
-
 def generator(g: Graph, i: int) -> PauliString:
     """Stabilizer generator of vertex i: X on i, Z on each neighbor."""
     g._check_vertex(i)
     return PauliString(g.n, 1 << i, g.adj[i], 1)
-
-
-def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
-    # i-exponent of the letter product, from the X^x Z^z normal form:
-    # each string is i^{|x&z|} X^x Z^z and commuting Z^{z1} past X^{x2}
-    # costs (-1)^{|z1&x2|}.
-    c1 = (x1 & z1).bit_count()
-    c2 = (x2 & z2).bit_count()
-    c3 = ((x1 ^ x2) & (z1 ^ z2)).bit_count()
-    return (c1 + c2 - c3 + 2 * (z1 & x2).bit_count()) % 4
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings; raises if the result carries a phase of +/-i."""
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    e = _phase_exponent(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
-    if e & 1:
-        raise ValueError("product is not Hermitian (phase +/-i); inputs anticommute")
-    sign = a.sign * b.sign * (1 if e == 0 else -1)
-    return PauliString(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, sign)
-
-
-def element(g: Graph, subset: int) -> PauliString:
-    """Stabilizer element for a generator-subset mask (product of its generators)."""
-    if subset < 0 or subset >= 1 << g.n:
-        raise InvalidGraphError(f"subset mask out of range for n={g.n}")
-    out = identity(g.n)
-    mask = subset
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        out = multiply(out, generator(g, i))
-        mask &= mask - 1
-    return out
 
 
 class BellOperator:
@@ -160,31 +108,56 @@ class BellOperator:
 def bell_terms(g: Graph) -> BellOperator:
     """Construct the full stabilizer-sum operator (all 2^n signed terms).
 
-    Built incrementally: the block of subsets containing generator i is the
-    block without it times g_i, one vectorized multiplication per generator.
+    Term S is g_S = (-1)^{e(S)} X^S Z^{ΓS}, where e(S) counts the edges inside
+    S and ΓS is the XOR of the neighbour masks of S. Writing XZ = -iY on the
+    qubits of S ∩ ΓS gives the sign (-1)^{e(S) + |S∩ΓS|/2}, which is real:
+    a vertex of S lies in ΓS exactly when it has odd degree in G[S], and
+    every graph has an even number of odd-degree vertices. One doubling loop
+    fills ΓS and the parity of e(S); adding vertex i to a subset of the
+    lower vertices toggles its neighbour mask and adds its edges into them.
     """
     if g.n > TERM_ENUMERATION_CAP:
         raise CapExceededError(
             f"term enumeration needs 2^{g.n} terms, cap is 2^{TERM_ENUMERATION_CAP}"
         )
     size = 1 << g.n
-    x = np.zeros(size, dtype=np.uint32)
+    x = np.arange(size, dtype=np.uint32)
     z = np.zeros(size, dtype=np.uint32)
-    signs = np.ones(size, dtype=np.int8)
+    odd_edges = np.zeros(size, dtype=np.uint8)
     for i in range(g.n):
         half = 1 << i
-        gx = np.uint32(1 << i)
-        gz = np.uint32(g.adj[i])
-        x1, z1 = x[:half], z[:half]
-        c1 = np.bitwise_count(x1 & z1).astype(np.int64)
-        c2 = int(gx & gz).bit_count()
-        x3 = x1 ^ gx
-        z3 = z1 ^ gz
-        c3 = np.bitwise_count(x3 & z3).astype(np.int64)
-        e = (c1 + c2 - c3 + 2 * np.bitwise_count(z1 & gx).astype(np.int64)) % 4
-        if np.any(e & 1):
-            raise AssertionError("imaginary phase in a generator product")
-        x[half : 2 * half] = x3
-        z[half : 2 * half] = z3
-        signs[half : 2 * half] = signs[:half] * np.where(e == 0, 1, -1).astype(np.int8)
+        nbrs = np.uint32(g.adj[i])
+        z[half : 2 * half] = z[:half] ^ nbrs
+        odd_edges[half : 2 * half] = odd_edges[:half] ^ (np.bitwise_count(x[:half] & nbrs) & 1)
+    flips = odd_edges + (np.bitwise_count(x & z) >> 1)
+    signs = np.where(flips & 1, np.int8(-1), np.int8(1))
     return BellOperator(g.n, x, z, signs)
+
+
+def apply_permutation(b: BellOperator, qubit: int, perm: dict[str, str] | str) -> BellOperator:
+    """Replace the letter on one qubit of every term by its image under a permutation.
+
+    ``perm`` maps each of '1', 'X', 'Y', 'Z' to a distinct letter, given as a
+    dict or as a 4-character string listing the images of '1XYZ' in order.
+    Signs are preserved. The result is a plain term list; it need not be a
+    stabilizer group.
+    """
+    if isinstance(perm, str):
+        if len(perm) != 4:
+            raise ValueError("permutation string must list the images of '1XYZ'")
+        perm = dict(zip("1XYZ", perm))
+    if sorted(perm) != sorted("1XYZ") or sorted(perm.values()) != sorted("1XYZ"):
+        raise ValueError("permutation must be a bijection on {1, X, Y, Z}")
+    if not 0 <= qubit < b.n:
+        raise ValueError(f"qubit {qubit} out of range")
+    # code = x_bit + 2*z_bit indexes "1XZY", as in PauliString.letter
+    lut = np.zeros(4, dtype=np.uint32)
+    for src, dst in perm.items():
+        lut["1XZY".index(src)] = "1XZY".index(dst)
+    xb = (b.x_masks >> qubit) & 1
+    zb = (b.z_masks >> qubit) & 1
+    codes = lut[xb + 2 * zb]
+    bit = np.uint32(1 << qubit)
+    x = (b.x_masks & ~bit) | ((codes & 1) << qubit).astype(np.uint32)
+    z = (b.z_masks & ~bit) | ((codes >> 1) << qubit).astype(np.uint32)
+    return BellOperator(b.n, x, z, b.signs.copy())

@@ -1,7 +1,8 @@
-"""Shared test machinery: dense oracles, a reference LHV scan, graph enumeration.
+"""Shared test machinery: dense oracles, reference algebra and LHV scan, graph enumeration.
 
 The dense Pauli matrices here are built independently of the package's
-oracle module, and the LHV scan independently of its transform engine, so
+oracle module, the scalar Pauli product independently of the closed-form
+``bell_terms``, and the LHV scan independently of its transform engine, so
 that tests have a second route to the same answer.
 """
 
@@ -14,7 +15,7 @@ from functools import reduce
 import hypothesis.strategies as st
 import numpy as np
 
-from graphbell import Graph, from_edges, is_connected
+from graphbell import Graph, InvalidGraphError, PauliString, from_edges, generator, is_connected
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,6 +33,44 @@ def dense_pauli(letters: str, sign: int = 1) -> np.ndarray:
 def dense_of(p) -> np.ndarray:
     """Dense matrix of a package PauliString via its letter rendering."""
     return dense_pauli(p.to_text()[1:], p.sign)
+
+
+def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
+    # i-exponent of the letter product, from the X^x Z^z normal form:
+    # each string is i^{|x&z|} X^x Z^z and commuting Z^{z1} past X^{x2}
+    # costs (-1)^{|z1&x2|}.
+    c1 = (x1 & z1).bit_count()
+    c2 = (x2 & z2).bit_count()
+    c3 = ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+    return (c1 + c2 - c3 + 2 * (z1 & x2).bit_count()) % 4
+
+
+def identity(n: int) -> PauliString:
+    return PauliString(n, 0, 0, 1)
+
+
+def multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Product of two Pauli strings; raises if the result carries a phase of +/-i."""
+    if a.n != b.n:
+        raise ValueError("qubit counts differ")
+    e = _phase_exponent(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    if e & 1:
+        raise ValueError("product is not Hermitian (phase +/-i); inputs anticommute")
+    sign = a.sign * b.sign * (1 if e == 0 else -1)
+    return PauliString(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, sign)
+
+
+def element(g: Graph, subset: int) -> PauliString:
+    """Stabilizer element for a generator-subset mask, multiplied out generator by generator."""
+    if subset < 0 or subset >= 1 << g.n:
+        raise InvalidGraphError(f"subset mask out of range for n={g.n}")
+    out = identity(g.n)
+    mask = subset
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        out = multiply(out, generator(g, i))
+        mask &= mask - 1
+    return out
 
 
 def reference_scan(b, pin_z: bool) -> tuple[int, int]:
@@ -141,8 +180,6 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7):
 @st.composite
 def pauli_strings(draw, min_n: int = 1, max_n: int = 5):
     """Strategy: arbitrary signed Pauli strings."""
-    from graphbell import PauliString
-
     n = draw(st.integers(min_n, max_n))
     full = (1 << n) - 1
     return PauliString(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from graphbell import GraphFamily, build_family, parse_edge_list, render_edge_list
+from graphbell import GraphFamily, build_family, from_edges, parse_edge_list, render_edge_list
 from graphbell.cli import _build_parser, main
 
 
@@ -38,6 +38,24 @@ class TestBoundCommand:
         code, _, err = run(capsys, "bound", "--family", "lc", "--n", "14")
         assert code == 3
         assert "compose" in err
+
+    def test_cap_applies_to_largest_component(self, capsys, tmp_path):
+        # two disjoint 7-chains: 14 vertices, but each search is only 4^7
+        path = tmp_path / "two_chains.txt"
+        path.write_text(render_edge_list(
+            from_edges(14, [(i, i + 1) for i in range(13) if i != 6])))
+        code, out, _ = run(capsys, "bound", "--edges", str(path))
+        assert code == 0
+        assert "c = 4096" in out
+        assert "search_space = 32768" in out
+
+    def test_oversized_component_exits_cap(self, capsys, tmp_path):
+        path = tmp_path / "chain13_and_edge.txt"
+        path.write_text(render_edge_list(
+            from_edges(15, [(i, i + 1) for i in range(12)] + [(13, 14)])))
+        code, _, err = run(capsys, "bound", "--edges", str(path))
+        assert code == 3
+        assert "13-vertex component exceeds the exact-search cap 12" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "bound", "--family", "rc", "--n", "6", "--format", "json")
@@ -274,6 +292,15 @@ class TestComposeCommand:
                            "--exhaustive")
         assert code == 3
         assert "explored too many pieces" in err
+        assert "hint" not in err
+
+    def test_table_limit_exits_cap_without_hint(self, capsys):
+        # the hint names compose itself, so compose must not print it
+        code, _, err = run(capsys, "compose", "--family", "fc", "--n", "20",
+                           "--exact-cap", "20")
+        assert code == 3
+        assert "byte limit" in err
+        assert "hint" not in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "16", "--format", "csv")

@@ -2,12 +2,14 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbell import (
     Assignment,
+    BellOperator,
     CapExceededError,
     GraphFamily,
     PauliString,
@@ -16,7 +18,6 @@ from graphbell import (
     bell_value,
     build_family,
     classical_bound,
-    evaluate_term,
     from_edges,
     local_complement,
     operator_bound,
@@ -48,17 +49,27 @@ def scalar_term_value(t: PauliString, a: Assignment) -> int:
     return value
 
 
+def one_term(t: PauliString) -> BellOperator:
+    """Operator holding the single term t."""
+    return BellOperator(
+        t.n,
+        np.array([t.x_mask], dtype=np.uint32),
+        np.array([t.z_mask], dtype=np.uint32),
+        np.array([t.sign], dtype=np.int8),
+    )
+
+
 class TestEvaluateTerm:
     def test_sign_only(self):
-        assert evaluate_term(PauliString.from_text("-XXX"), ALL_PLUS) == -1
+        assert bell_value(one_term(PauliString.from_text("-XXX")), ALL_PLUS) == -1
 
     def test_single_flip(self):
-        assert evaluate_term(PauliString.from_text("+YY1"), Assignment(0, 0b01, 0)) == -1
+        assert bell_value(one_term(PauliString.from_text("+YY1")), Assignment(0, 0b01, 0)) == -1
 
     def test_three_flips(self):
         t = PauliString.from_text("+XZZ")
         a = Assignment(0b001, 0, 0b110)
-        assert evaluate_term(t, a) == scalar_term_value(t, a) == -1
+        assert bell_value(one_term(t), a) == scalar_term_value(t, a) == -1
 
     @given(st.data())
     @settings(max_examples=200)
@@ -76,7 +87,7 @@ class TestEvaluateTerm:
             data.draw(st.integers(0, full)),
             data.draw(st.integers(0, full)),
         )
-        assert evaluate_term(t, a) == scalar_term_value(t, a)
+        assert bell_value(one_term(t), a) == scalar_term_value(t, a)
 
 
 class TestBellValue:
@@ -96,7 +107,7 @@ class TestBellValue:
             data.draw(st.integers(0, full)),
         )
         b = bell_terms(g)
-        assert bell_value(b, a) == sum(evaluate_term(t, a) for t in b)
+        assert bell_value(b, a) == sum(scalar_term_value(t, a) for t in b)
 
 
 def brute_force_unreduced_max(g) -> int:

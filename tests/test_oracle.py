@@ -18,9 +18,8 @@ from graphbell import (
     schmidt_profile,
     statevector,
 )
-from graphbell.lhv import apply_permutation
 from graphbell.oracle import apply_pauli, operator_matrix
-from graphbell.stabilizer import PauliString
+from graphbell.stabilizer import PauliString, apply_permutation
 from helpers import connected_graphs, dense_of, pauli_strings
 
 SINGLE = from_edges(1, [])

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from graphbell import chain_bound
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_chain_growth_demo_prints_chain_bounds():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "chain_growth_demo.py"),
+         "--max-length", "15", "--step", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["length", "bound", "on", "d", "1/d", "at", "least"]
+    assert [int(row.split()[0]) for row in rows] == [5, 10, 15]
+    for row in rows:
+        length, bound, _ = row.split()
+        assert Fraction(bound) == chain_bound(int(length))

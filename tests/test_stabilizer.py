@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,18 @@ from graphbell import (
     PauliString,
     bell_terms,
     build_family,
-    element,
     from_edges,
     generator,
-    multiply,
 )
-from helpers import connected_graphs, dense_of, dense_pauli, pauli_strings
+from helpers import (
+    all_labeled_graphs,
+    connected_graphs,
+    dense_of,
+    element,
+    graph_from_edge_mask,
+    multiply,
+    pauli_strings,
+)
 
 FC3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
 LC3 = build_family(GraphFamily.LINEAR_CLUSTER, 3)
@@ -125,6 +133,32 @@ class TestBellTerms:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, 21))
+
+
+class TestClosedForm:
+    """bell_terms' closed form against the generator-by-generator product."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_all_labeled_graphs(self, n):
+        for g in all_labeled_graphs(n):
+            b = bell_terms(g)
+            for subset in range(1 << n):
+                assert b.term(subset) == element(g, subset)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2004)
+        for _ in range(40):
+            n = rng.randint(6, 10)
+            g = graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            b = bell_terms(g)
+            for subset in range(1 << n):
+                assert b.term(subset) == element(g, subset)
+
+    def test_column_dtypes(self):
+        b = bell_terms(build_family(GraphFamily.RING_CLUSTER, 6))
+        assert (b.x_masks.dtype, b.z_masks.dtype, b.signs.dtype) == (
+            np.uint32, np.uint32, np.int8
+        )
 
 
 class TestGroupClosure:
