@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     GraphFamily,
     build_family,
+    is_connected,
     local_complement,
     parse_edge_list,
     parse_graph6,
@@ -304,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.command in ("bound", "verify"):
+        # compose takes only connected graphs; a disconnected one is told its cap instead
+        if args.command in ("bound", "verify") and is_connected(_load_graph(args)):
             print("hint: use `graphbell compose` for graphs beyond the exact cap", file=sys.stderr)
         return EXIT_CAP
     except (EdgeListParseError, InvalidGraphError) as exc:

@@ -4,13 +4,28 @@ A deterministic local-hidden-variable model assigns a fixed value +1 or -1 to
 each local observable X, Y, Z on each qubit; the classical bound C(G) is the
 exact maximum of |<B(G)>| over all such assignments, and D(G) = C(G)/2^n.
 
-The Bell value, as a function of the sign masks, is the Walsh-Hadamard
-transform of the signed term-occupancy table over the assignment space, so
-one integer fast-WHT evaluates every assignment exactly and deterministically.
+A term with X letters a, Y letters y and Z letters c has x_mask x = a|y and
+z_mask z = y|c. Under the assignment (neg_x, neg_y, neg_z) it takes the value
+sign * (-1)^(<x, neg_x> + <z, neg_z> + <y, e>) with e = neg_x ^ neg_y ^ neg_z,
+since <y, neg_x> and <y, neg_z> each appear twice in that exponent. The
+search key of a term is x<<n | z, and y = x & z is a function of the key.
+So for each e, the Bell values over (neg_x, neg_z) are one integer
+Walsh-Hadamard transform of the row merged[key] * (-1)^<y(key), e>, where
+merged sums the signs of the terms that share a key. The rows are
+transformed batch by batch with a running maximum, which evaluates every
+assignment exactly in a few batches of memory.
 
 The Z observables can be pinned to +1 without changing the maximum for
 graph-form operators (flipping Z on one qubit is absorbed by flipping Y
 there plus X and Y on its neighbors), which cuts the space from 8^n to 4^n.
+The key is then x alone, and y must be a function of x, as it is for every
+stabilizer element of a graph (term S has x = S and z = ΓS).
+
+Rows are int16 when there are fewer than 2^15 terms and int32 otherwise.
+Every partial sum of a transform is a signed sum of term signs, so it is
+bounded by the term count and both widths are exact. Ties are broken
+towards the lexicographically smallest (neg_x, neg_y, neg_z), whatever
+order the batches are visited in.
 """
 
 from __future__ import annotations
@@ -25,7 +40,10 @@ from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, bell_terms
 
 EXACT_SEARCH_CAP = 12
-SEARCH_TABLE_BYTES = 1 << 30
+SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14 pinned and 8^9 unpinned
+_BATCH_BYTES = 1 << 18  # one batch of rows stays in a core's cache
+_MIN_BATCH_ROWS = 16  # a power of two; numpy loops are slow on shorter runs
+_SIGNS = np.array([1, -1], dtype=np.int8)
 
 METHOD_EXHAUSTIVE = "exhaustive"
 
@@ -76,53 +94,102 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place integer Walsh-Hadamard transform (no normalization)."""
-    size = values.shape[0]
-    h = 1
-    while h < size:
-        values = values.reshape(-1, 2, h)
-        top = values[:, 0, :].copy()
-        values[:, 0, :] += values[:, 1, :]
-        values[:, 1, :] = top - values[:, 1, :]
-        values = values.reshape(size)
-        h *= 2
-    return values
-
-
 def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over LHV models for an arbitrary term list.
 
     Returns (c, argmax, search_space). With ``pin_z`` set, the Z settings are
     pinned to +1, shrinking the space from 8^n to 4^n; that is only valid for
-    graph-form operators. The argmax is the lexicographically smallest
-    (neg_x, neg_y, neg_z) triple achieving the maximum.
+    graph-form operators, and a term list whose Y letters are not fixed by
+    each term's X mask raises ``ValueError``. The argmax is the
+    lexicographically smallest (neg_x, neg_y, neg_z) triple achieving the
+    maximum, whatever order the search visits assignments in.
 
-    The search fills one int32 table with a cell per assignment; a table over
-    SEARCH_TABLE_BYTES is refused before anything is allocated. The transform
-    peaks at about twice the table.
+    The search changes basis from a term's (X, Y, Z) letters to its key
+    x<<n | z (x alone when Z is pinned): for each e = neg_x ^ neg_y ^ neg_z,
+    the values over (neg_x, neg_z) are one Walsh-Hadamard transform of the
+    row merged[key] * (-1)^<y(key), e>, y = x & z being a function of the key
+    (see the module docstring). Rows are transformed in batches of about
+    _BATCH_BYTES while a running maximum is kept, so memory is a few
+    batch-sized buffers, not a cell per assignment.
+
+    Rows are int16 when there are fewer than 2^15 terms and int32 otherwise:
+    every partial sum of the transform is bounded by the term count, so both
+    are exact. Spaces over SEARCH_ASSIGNMENTS are refused before anything is
+    allocated.
     """
     n = b.n
     classes = 2 if pin_z else 3
     space = 1 << (classes * n)
-    if 4 * space > SEARCH_TABLE_BYTES:
+    if space > SEARCH_ASSIGNMENTS:
         raise CapExceededError(
-            f"search space {1 << classes}^{n} needs a {4 * space}-byte table, "
-            f"over the {SEARCH_TABLE_BYTES}-byte limit"
+            f"search space {1 << classes}^{n} has {space} assignments, "
+            f"over the {SEARCH_ASSIGNMENTS}-assignment limit"
         )
-    # each term's letter-class masks (X, Y and, unless Z is pinned, Z) are
-    # packed into one key, most significant first
-    masks = b.letter_class_masks()[:classes]
-    keys = masks[0]
-    for mask in masks[1:]:
-        keys <<= n
-        keys |= mask
-    table = np.zeros(space, dtype=np.int32)
-    np.add.at(table, keys, b.signs.astype(np.int32))
-    spectrum = _fwht(table)
-    index = int(np.argmax(np.abs(spectrum)))
-    argmax = [index >> (k * n) & ((1 << n) - 1) for k in reversed(range(classes))]
-    return int(abs(int(spectrum[index]))), Assignment(*argmax), space
+    width = (classes - 1) * n  # key bits
+    size = 1 << width
+    x, z = b.x_masks, b.z_masks
+    y = x & z
+    if pin_z:
+        keys = x.astype(np.intp)
+        y_of_key = np.zeros(size, dtype=y.dtype)
+        y_of_key[keys] = y
+        if not (y_of_key[keys] == y).all():
+            raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
+    else:
+        keys = ((x << n) | z).astype(np.intp)
+        all_keys = np.arange(size, dtype=np.uint32)
+        y_of_key = (all_keys >> n) & all_keys
+    dtype = np.int16 if len(b) < 1 << 15 else np.int32
+    merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
+    # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
+    # with e fastest, so every butterfly run is at least _MIN_BATCH_ROWS long
+    fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - width
+    row_bits = min(n, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
+    rows = 1 << row_bits
+    # the rows of e < rows, laid out [e, key] and built by doubling over the
+    # bits of e; batch `base` is these rows times (-1)^<y(key), base>
+    by_e = np.empty((rows, size), dtype=dtype)
+    by_e[0] = merged
+    bits = np.arange(row_bits, dtype=y_of_key.dtype)[:, None]
+    flips = _SIGNS.take((y_of_key >> bits) & 1)
+    for k in range(row_bits):
+        np.multiply(by_e[: 1 << k], flips[k], out=by_e[1 << k : 2 << k])
+    batch = np.empty((size, rows), dtype=dtype)
+    bufs = (np.empty(size * rows, dtype=dtype), batch.reshape(-1))
+    # each butterfly level reads one buffer and writes the other
+    levels = []
+    for level in range(width):
+        src = bufs[(level + 1) % 2].reshape(-1, 2, rows << level)
+        dst = bufs[level % 2].reshape(-1, 2, rows << level)
+        levels.append((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
+    out = bufs[(width - 1) % 2]
+    z_bits = width - n
+    best, best_key = -1, 0
+    for base in range(0, 1 << n, rows):
+        if base:
+            chi = _SIGNS.take(np.bitwise_count(y_of_key & base) & 1)
+            np.multiply(by_e.T, chi[:, None], out=batch)
+        else:
+            np.copyto(batch, by_e.T)
+        for s0, s1, d0, d1 in levels:
+            np.add(s0, s1, out=d0)
+            np.subtract(s0, s1, out=d1)
+        np.abs(out, out=out)
+        m = int(out[out.argmax()])
+        if m < best:
+            continue
+        # order the maxima of this batch by (neg_x, neg_y, neg_z)
+        pos = (out == m).nonzero()[0]
+        col = pos >> row_bits
+        neg_x = col >> z_bits
+        neg_z = col & ((1 << z_bits) - 1)
+        neg_y = (base + (pos & (rows - 1))) ^ neg_x ^ neg_z
+        lex = (neg_x << (2 * n)) | (neg_y << n) | neg_z
+        key = int(lex[lex.argmin()])
+        if m > best or key < best_key:
+            best, best_key = m, key
+    full = (1 << n) - 1
+    return best, Assignment(best_key >> (2 * n), best_key >> n & full, best_key & full), space
 
 
 def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
@@ -137,11 +204,15 @@ def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
     comps = connected_components(g)
     largest = max(comp.bit_count() for comp in comps)
     if largest > exact_cap:
-        subject = f"n={g.n}" if len(comps) == 1 else f"a {largest}-vertex component"
-        raise CapExceededError(
-            f"{subject} exceeds the exact-search cap {exact_cap}; "
-            "use the compositional bounds for larger graphs"
-        )
+        if len(comps) == 1:
+            subject, advice = f"n={g.n}", "use the compositional bounds for larger graphs"
+        else:  # the compositional bounds need a connected graph
+            subject = f"a {largest}-vertex component"
+            if 1 << (2 * largest) <= SEARCH_ASSIGNMENTS:
+                advice = f"raise the cap to {largest} (--exact-cap {largest})"
+            else:
+                advice = "bound its components one at a time"
+        raise CapExceededError(f"{subject} exceeds the exact-search cap {exact_cap}; {advice}")
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0

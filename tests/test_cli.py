@@ -56,6 +56,19 @@ class TestBoundCommand:
         code, _, err = run(capsys, "bound", "--edges", str(path))
         assert code == 3
         assert "13-vertex component exceeds the exact-search cap 12" in err
+        # compose rejects disconnected graphs, so the way out is a larger cap
+        assert "--exact-cap 13" in err
+        assert "compose" not in err and "compositional" not in err
+        code, out, _ = run(capsys, "bound", "--edges", str(path), "--exact-cap", "13")
+        assert code == 0
+        assert f"search_space = {4**13 + 4**2}" in out
+        # no cap admits a 15-vertex component, so none is suggested
+        path.write_text(render_edge_list(
+            from_edges(17, [(i, i + 1) for i in range(14)] + [(15, 16)])))
+        code, _, err = run(capsys, "bound", "--edges", str(path))
+        assert code == 3
+        assert "bound its components one at a time" in err
+        assert "--exact-cap" not in err and "compose" not in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "bound", "--family", "rc", "--n", "6", "--format", "json")
@@ -93,10 +106,10 @@ class TestBoundCommand:
         assert "d = 5/8" in out
 
     def test_search_over_table_limit_exits_cap_before_allocating(self, capsys):
-        # a 4^20 table is 4 TiB: a missing guard fails here with MemoryError
+        # 4^20 assignments: a missing guard fails here by running for hours
         code, _, err = run(capsys, "bound", "--family", "lc", "--n", "20", "--exact-cap", "20")
         assert code == 3
-        assert "byte limit" in err
+        assert "assignment limit" in err
 
     @pytest.mark.parametrize("flag", ["--edges", "--graph6"])
     def test_n_without_family_is_usage_error(self, capsys, tmp_path, flag):
@@ -299,7 +312,7 @@ class TestComposeCommand:
         code, _, err = run(capsys, "compose", "--family", "fc", "--n", "20",
                            "--exact-cap", "20")
         assert code == 3
-        assert "byte limit" in err
+        assert "assignment limit" in err
         assert "hint" not in err
 
     def test_csv_format(self, capsys):

@@ -23,6 +23,7 @@ from graphbell import (
     operator_bound,
 )
 from helpers import (
+    all_labeled_graphs,
     connected_graphs,
     graph_from_edge_mask,
     graphs,
@@ -161,14 +162,14 @@ class TestClassicalBound:
 
     @pytest.mark.parametrize("n, pin_z", [(20, True), (14, False)])
     def test_table_over_limit_refused_before_allocating(self, n, pin_z):
-        # 4 TiB and 16 TiB tables: a missing guard fails here with MemoryError
+        # 2^40 and 2^42 assignments: a missing guard fails here by running for hours
         terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, n))
-        with pytest.raises(CapExceededError, match="byte limit"):
+        with pytest.raises(CapExceededError, match="assignment limit"):
             operator_bound(terms, pin_z=pin_z)
 
     @pytest.mark.parametrize("pin_z, fits, refused", [(True, 5, 6), (False, 3, 4)])
     def test_table_limit_boundary(self, monkeypatch, pin_z, fits, refused):
-        monkeypatch.setattr("graphbell.lhv.SEARCH_TABLE_BYTES", 4 * 4**5)
+        monkeypatch.setattr("graphbell.lhv.SEARCH_ASSIGNMENTS", 4**5)
         c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, fits)),
                                      pin_z=pin_z)
         assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, fits)).c,
@@ -204,6 +205,29 @@ class TestZRestriction:
                 c_full, _, _ = operator_bound(b, pin_z=False)
                 assert c_restricted == c_full
 
+    def test_pinning_needs_y_letters_fixed_by_the_x_mask(self):
+        b = BellOperator(2, np.array([0b11, 0b11], dtype=np.uint32),
+                         np.array([0b00, 0b10], dtype=np.uint32), np.array([1, 1], dtype=np.int8))
+        with pytest.raises(ValueError, match="Y letters"):
+            operator_bound(b, pin_z=True)
+        assert operator_bound(b, pin_z=False)[0] == 2
+
+
+def small_batches(monkeypatch) -> None:
+    """Two rows per batch, so every search with n >= 3 runs at least four batches."""
+    monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1)
+    monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
+
+
+def repeated_term(text: str, copies: int) -> BellOperator:
+    t = PauliString.from_text(text)
+    return BellOperator(
+        t.n,
+        np.full(copies, t.x_mask, dtype=np.uint32),
+        np.full(copies, t.z_mask, dtype=np.uint32),
+        np.full(copies, t.sign, dtype=np.int8),
+    )
+
 
 def counter_index(a: Assignment, n: int, pin_z: bool) -> int:
     """Position of an assignment in the reference scan's counter order."""
@@ -228,6 +252,31 @@ class TestDeterminism:
                 c, argmax, space = operator_bound(ops, pin_z=False)
                 assert space == 8**4
                 assert (c, counter_index(argmax, 4, False)) == reference_scan(ops, pin_z=False)
+
+    def test_seams_pinned_on_every_labeled_graph_up_to_4(self, monkeypatch):
+        small_batches(monkeypatch)
+        for n in range(1, 5):
+            for g in all_labeled_graphs(n):
+                b = bell_terms(g)
+                c, argmax, _ = operator_bound(b, pin_z=True)
+                assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
+
+    def test_seams_unpinned_on_families_and_permutations(self, monkeypatch):
+        small_batches(monkeypatch)
+        for fam in GraphFamily:
+            for n in range(2, 6):
+                b = bell_terms(build_family(fam, n))
+                for ops in (b, apply_permutation(b, 0, "Y1ZX"), apply_permutation(b, n - 1, "ZYX1")):
+                    c, argmax, _ = operator_bound(ops, pin_z=False)
+                    assert (c, counter_index(argmax, n, False)) == reference_scan(ops, pin_z=False)
+
+    @pytest.mark.parametrize("copies", [2**15 - 1, 2**15, 40_000])
+    def test_row_width_holds_the_term_count(self, monkeypatch, copies):
+        # int16 rows hold 32767 copies of one term; 32768 and more need int32
+        small_batches(monkeypatch)
+        b = repeated_term("-YX", copies)
+        for pin_z in (True, False):
+            assert operator_bound(b, pin_z=pin_z)[:2] == (copies, ALL_PLUS)
 
 
 class TestPermutation:
