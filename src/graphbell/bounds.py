@@ -1,34 +1,37 @@
-"""Compositional upper bounds on D(G) for graphs beyond the exact-search cap.
+"""Compositional upper bounds on D(G) for graphs beyond the exact search.
 
 The product rule is the workhorse: when a graph splits as two subgraphs
 joined by exactly one bridge edge, D of the whole is at most the product of
 the two sides' D values. The rule is only sound across bridges; multiplying
 across multi-edge cuts is refused (the 6-clique already beats the product of
-two triangles). Pieces that fit the exact-search cap get exact values; a
+two triangles). Pieces within the composer's cap get exact values; a
 bridgeless piece that does not fit falls back to an induced-subgraph
-relaxation.
+relaxation. D multiplies exactly across disjoint components, so a
+disconnected graph is composed one component at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import CapExceededError, InvalidGraphError
 from .graph import (
     Graph,
     GraphFamily,
     bridges,
+    connected_components,
     induced_subgraph,
-    is_connected,
     is_tree,
     iter_bits,
     reach,
     without_edge,
 )
-from .lhv import EXACT_SEARCH_CAP, classical_bound
+from .lhv import classical_bound
 from .table import FAMILY_D
+
+EXACT_SEARCH_CAP = 12  # default largest piece the composer solves exactly
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,9 @@ class ExactStep:
 
 @dataclass(frozen=True)
 class BridgeStep:
-    """Product of the two sides of a single bridge."""
+    """Product of the two sides of a single bridge, or of disjoint components (no bridge)."""
 
-    bridge: tuple[int, int]
+    bridge: tuple[int, int] | None
     left: "DerivationStep"
     right: "DerivationStep"
 
@@ -65,7 +68,7 @@ class BridgeStep:
     def to_json_dict(self) -> dict:
         return {
             "kind": "bridge_product",
-            "bridge": list(self.bridge),
+            "bridge": None if self.bridge is None else list(self.bridge),
             "left": self.left.to_json_dict(),
             "right": self.right.to_json_dict(),
             "value": [self.value.numerator, self.value.denominator],
@@ -161,8 +164,8 @@ def _largest_tractable_subgraph(g: Graph, piece: int, cap: int) -> int:
 @lru_cache(maxsize=4096)
 def _exact_d_of(sub: Graph) -> Fraction:
     # pieces repeat under composition (all k-paths relabel identically),
-    # so cache by the relabeled shape; caller guarantees the size fits
-    return classical_bound(sub, exact_cap=sub.n).d
+    # so cache by the relabeled shape
+    return classical_bound(sub).d
 
 
 def _exact_d(g: Graph, piece: int) -> Fraction:
@@ -262,19 +265,21 @@ def bridge_compose_bound(
 ) -> CompositeBound:
     """Upper-bound D(G) by splitting at bridges until every piece is tractable.
 
-    Bridge selection is greedy: path-shaped pieces split where the chain
-    dynamic program says the optimal contiguous partition starts, everything
-    else splits at the most balanced bridge (deterministic tie break).
+    Each connected component is composed on its own, and the components are
+    joined by exact products (BridgeStep with no bridge). Bridge selection is
+    greedy: path-shaped pieces split where the chain dynamic program says the
+    optimal contiguous partition starts, everything else splits at the most
+    balanced bridge (deterministic tie break).
     ``exhaustive`` instead minimizes over every bridge choice with piece
     memoization, which is only sensible up to around 20 vertices. Pieces
     within the cap get exact values; bridgeless oversized pieces fall back to
     the induced-subgraph relaxation. Splits never cross multi-edge cuts: the
     product rule is unsound there.
     """
-    if not is_connected(g):
-        raise InvalidGraphError("compositional bound expects a connected graph")
-    step = _Composer(g, exact_cap, exhaustive).run(g.vertex_mask)
-    is_exact = isinstance(step, ExactStep) and step.vertices == g.vertex_mask
+    composer = _Composer(g, exact_cap, exhaustive)
+    parts = [composer.run(comp) for comp in connected_components(g)]
+    step = reduce(lambda left, right: BridgeStep(None, left, right), parts)
+    is_exact = all(isinstance(part, ExactStep) for part in parts)
     return CompositeBound(step.value, step, is_exact)
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: exact bounds, family table, verification, composition.
 
-Exit codes: 0 success, 2 bound certifies no violation (D = 1), 3 size cap
-exceeded, 4 parse/usage error, 5 verification or internal failure.
+Exit codes: 0 success, 2 bound certifies no violation (D = 1 exactly, from
+bound or an exact compose), 3 size cap exceeded, 4 parse/usage error, 5
+verification or internal failure.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ import math
 import sys
 from fractions import Fraction
 
-from .bounds import bridge_compose_bound
+from .bounds import EXACT_SEARCH_CAP, bridge_compose_bound
 from .errors import CapExceededError, EdgeListParseError, InvalidGraphError
 from .graph import (
     Graph,
     GraphFamily,
     build_family,
-    is_connected,
     local_complement,
     parse_edge_list,
     parse_graph6,
     render_edge_list,
 )
-from .lhv import EXACT_SEARCH_CAP, classical_bound, operator_bound
+from .lhv import classical_bound, operator_bound
 from .oracle import DENSE_CAP, check_stabilized, quantum_bell_value
 from .stabilizer import apply_permutation, bell_terms
 from .table import FAMILY_D, FAMILY_SIZES
@@ -54,10 +54,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph6", metavar="STR", help="graph6-encoded graph")
 
 
-def _add_common(p: argparse.ArgumentParser, cap: bool = True) -> None:
-    if cap:
-        p.add_argument("--exact-cap", type=int, default=EXACT_SEARCH_CAP,
-                       help=f"exact-search vertex cap (default {EXACT_SEARCH_CAP})")
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
 
 
@@ -67,20 +64,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="exact classical bound of one graph")
     _add_graph_source(p)
-    _add_common(p)
+    _add_format(p)
 
     p = sub.add_parser("table", help="family-value table for 3..10 vertices")
-    _add_common(p, cap=False)
+    _add_format(p)
     p.add_argument("--check", action="store_true", help="compare against the golden values")
     p.add_argument("--reduced", action="store_true", help="print fractions in lowest terms")
 
     p = sub.add_parser("verify", help="oracle and invariance checks on one graph")
     _add_graph_source(p)
-    _add_common(p)
+    _add_format(p)
 
     p = sub.add_parser("compose", help="bridge-composition upper bound")
     _add_graph_source(p)
-    _add_common(p)
+    _add_format(p)
+    p.add_argument("--exact-cap", type=int, default=EXACT_SEARCH_CAP,
+                   help=f"largest piece solved exactly (default {EXACT_SEARCH_CAP})")
     p.add_argument("--exhaustive", action="store_true",
                    help="minimize over every bridge choice instead of greedy most-balanced")
 
@@ -91,7 +90,7 @@ def _build_parser() -> _Parser:
 
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
-    if "exact_cap" in args:  # table and lc take no cap
+    if "exact_cap" in args:  # only compose takes a cap
         if args.exact_cap < 1:
             parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
     if args.command != "table":
@@ -122,7 +121,7 @@ def _frac(d: Fraction) -> str:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    report = classical_bound(g, exact_cap=args.exact_cap)
+    report = classical_bound(g)
     payload = report.to_json_dict()
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -193,7 +192,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str]]:
+def _verify_checks(g: Graph) -> list[tuple[str, bool | None, str]]:
     """Run each verification; (name, passed-or-None-if-skipped, detail)."""
     checks: list[tuple[str, bool | None, str]] = []
     if g.n <= DENSE_CAP:
@@ -205,7 +204,7 @@ def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str
     else:
         checks.append(("stabilizer-eigenvalue", None, f"skipped: n > dense cap {DENSE_CAP}"))
         checks.append(("quantum-bell-value", None, f"skipped: n > dense cap {DENSE_CAP}"))
-    report = classical_bound(g, exact_cap=exact_cap)
+    report = classical_bound(g)
     checks.append(("classical-bound", True, f"c = {report.c}, d = {_frac(report.d)}"))
     if g.n <= UNREDUCED_SEARCH_CAP:
         terms = bell_terms(g)
@@ -219,7 +218,7 @@ def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str
         detail = f"skipped: unrestricted search capped at n <= {UNREDUCED_SEARCH_CAP}"
         checks.append(("z-restriction-equivalence", None, detail))
         checks.append(("observable-permutation-invariance", None, detail))
-    lc_report = classical_bound(local_complement(g, 0), exact_cap=exact_cap)
+    lc_report = classical_bound(local_complement(g, 0))
     checks.append(("local-complementation-invariance", lc_report.c == report.c,
                    f"c at complemented vertex 0 = {lc_report.c}"))
     return checks
@@ -227,7 +226,7 @@ def _verify_checks(g: Graph, exact_cap: int) -> list[tuple[str, bool | None, str
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    checks = _verify_checks(g, args.exact_cap)
+    checks = _verify_checks(g)
     if args.fmt == "json":
         payload = [{"check": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
         print(json.dumps(payload, indent=2))
@@ -262,7 +261,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
         print(f"exact = {bound.is_exact}")
         for note in notes:
             print(note)
-    return EXIT_OK
+    return EXIT_NO_VIOLATION if bound.is_exact and bound.value == 1 else EXIT_OK
 
 
 def _derivation_notes(node: dict, depth: int = 0) -> list[str]:
@@ -271,7 +270,8 @@ def _derivation_notes(node: dict, depth: int = 0) -> list[str]:
         num, den = node["d"]
         return [f"{pad}exact piece {node['vertices']}: d = {num}/{den}"]
     if node["kind"] == "bridge_product":
-        lines = [f"{pad}bridge {tuple(node['bridge'])}:"]
+        head = f"bridge {tuple(node['bridge'])}" if node["bridge"] else "components"
+        lines = [f"{pad}{head}:"]
         lines += _derivation_notes(node["left"], depth + 1)
         lines += _derivation_notes(node["right"], depth + 1)
         return lines
@@ -305,9 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # compose takes only connected graphs; a disconnected one is told its cap instead
-        if args.command in ("bound", "verify") and is_connected(_load_graph(args)):
-            print("hint: use `graphbell compose` for graphs beyond the exact cap", file=sys.stderr)
+        if args.command in ("bound", "verify"):
+            print("hint: use `graphbell compose` for graphs beyond the exact search",
+                  file=sys.stderr)
         return EXIT_CAP
     except (EdgeListParseError, InvalidGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

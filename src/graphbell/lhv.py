@@ -39,7 +39,6 @@ from .errors import CapExceededError
 from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, bell_terms
 
-EXACT_SEARCH_CAP = 12
 SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14 pinned and 8^9 unpinned
 _BATCH_BYTES = 1 << 18  # one batch of rows stays in a core's cache
 _MIN_BATCH_ROWS = 16  # a power of two; numpy loops are slow on shorter runs
@@ -192,27 +191,17 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     return best, Assignment(best_key >> (2 * n), best_key >> n & full, best_key & full), space
 
 
-def classical_bound(g: Graph, exact_cap: int = EXACT_SEARCH_CAP) -> BoundReport:
+def classical_bound(g: Graph) -> BoundReport:
     """Exact classical bound C(G) and D(G) = C(G)/2^n of a graph's Bell operator.
 
     The search runs over the 4^n Z-pinned space, which is exact for graphs.
     Disconnected graphs factor: the operator is a tensor product over
     components, so C is the product of the per-component maxima and the
-    argmax is assembled from the per-component argmaxes. Each component is
-    searched on its own, so ``exact_cap`` bounds the largest component.
+    argmax is assembled from the per-component argmaxes. Components are
+    searched largest first, so one over the assignment limit is refused
+    before any search runs.
     """
-    comps = connected_components(g)
-    largest = max(comp.bit_count() for comp in comps)
-    if largest > exact_cap:
-        if len(comps) == 1:
-            subject, advice = f"n={g.n}", "use the compositional bounds for larger graphs"
-        else:  # the compositional bounds need a connected graph
-            subject = f"a {largest}-vertex component"
-            if 1 << (2 * largest) <= SEARCH_ASSIGNMENTS:
-                advice = f"raise the cap to {largest} (--exact-cap {largest})"
-            else:
-                advice = "bound its components one at a time"
-        raise CapExceededError(f"{subject} exceeds the exact-search cap {exact_cap}; {advice}")
+    comps = sorted(connected_components(g), key=int.bit_count, reverse=True)
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0

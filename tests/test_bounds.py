@@ -14,6 +14,7 @@ from graphbell import (
     build_family,
     chain_bound,
     classical_bound,
+    connected_components,
     from_edges,
     geometric_measure_lower_bound,
     induced_subgraph,
@@ -22,7 +23,7 @@ from graphbell import (
     tree_certificate,
 )
 from graphbell.bounds import BridgeStep, ExactStep, SubgraphStep, replay
-from graphbell.graph import reach, without_edge
+from graphbell.graph import iter_bits, reach, without_edge
 from graphbell.table import FAMILY_D
 from helpers import compose_bridge, connected_graph_classes, random_connected_graph
 
@@ -61,9 +62,15 @@ class TestBridgeCompose:
         assert bound.value == Fraction(13, 16)
         assert not bound.is_exact
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(InvalidGraphError):
-            bridge_compose_bound(from_edges(4, [(0, 1), (2, 3)]))
+    def test_disconnected_composes_by_components(self):
+        g = from_edges(5, [(0, 1), (1, 2), (3, 4)])  # path-3 plus an edge
+        bound = bridge_compose_bound(g)
+        assert bound.is_exact
+        assert bound.value == Fraction(3, 4) == classical_bound(g).d
+        step = bound.derivation
+        assert isinstance(step, BridgeStep) and step.bridge is None
+        assert (step.left.vertices, step.right.vertices) == (0b00111, 0b11000)
+        assert bound.to_json_dict()["derivation"]["bridge"] is None
 
     def test_exhaustive_never_worse_than_greedy(self):
         rng = random.Random(99)
@@ -141,14 +148,19 @@ def _vertices(step) -> int:
 
 
 def _check_splits(g, step) -> None:
-    """Every BridgeStep cuts a bridge of its own piece, with u's side on the left."""
+    """Every BridgeStep cuts a bridge of its own piece, with u's side on the left,
+    or joins parts that no edge connects."""
     if not isinstance(step, BridgeStep):
         return
     piece = _vertices(step)
-    sub, labels = induced_subgraph(g, piece)
-    assert step.bridge in [(labels[a], labels[b]) for a, b in bridges(sub)]
-    u, v = step.bridge
-    assert _vertices(step.left) == reach(without_edge(g.adj, u, v), u, piece)
+    if step.bridge is None:
+        left = _vertices(step.left)
+        assert all(g.adj[v] & piece & ~left == 0 for v in iter_bits(left))
+    else:
+        sub, labels = induced_subgraph(g, piece)
+        assert step.bridge in [(labels[a], labels[b]) for a, b in bridges(sub)]
+        u, v = step.bridge
+        assert _vertices(step.left) == reach(without_edge(g.adj, u, v), u, piece)
     _check_splits(g, step.left)
     _check_splits(g, step.right)
 
@@ -161,6 +173,38 @@ class TestSplitSoundness:
             for exhaustive in modes:
                 bound = bridge_compose_bound(g, exact_cap=cap, exhaustive=exhaustive)
                 _check_splits(g, bound.derivation)
+
+
+class TestDisconnectedCompose:
+    @pytest.mark.parametrize("cap", [2, 3, 5, 12])
+    def test_sound_on_random_graphs(self, cap):
+        rng = random.Random(8 + cap)
+        disconnected = 0
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            density = rng.uniform(0.05, 0.35)  # sparse draws are mostly disconnected
+            g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                               if rng.random() < density])
+            disconnected += len(connected_components(g)) > 1
+            exact = classical_bound(g).d
+            for exhaustive in (False, True):
+                bound = bridge_compose_bound(g, exact_cap=cap, exhaustive=exhaustive)
+                assert bound.value >= exact
+                assert bound.value == exact or not bound.is_exact
+                assert replay(bound.derivation) == bound.value
+                assert _vertices(bound.derivation) == g.vertex_mask
+                _check_splits(g, bound.derivation)
+        assert disconnected > 20
+
+    def test_chain15_and_edge_is_the_product_of_its_components(self):
+        g = from_edges(17, [(i, i + 1) for i in range(14)] + [(15, 16)])
+        bound = bridge_compose_bound(g)
+        chain = bridge_compose_bound(build_family(LC, 15))
+        edge = bridge_compose_bound(from_edges(2, [(0, 1)]))
+        assert bound.value == chain.value * edge.value
+        assert not bound.is_exact
+        assert bound.derivation.bridge is None
+        assert _vertices(bound.derivation.left) == (1 << 15) - 1
 
 
 class TestProductRuleGuard:

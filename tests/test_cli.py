@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,8 +38,9 @@ class TestBoundCommand:
         assert "d = 1" in out
 
     def test_cap_exceeded_hints_compose(self, capsys):
-        code, _, err = run(capsys, "bound", "--family", "lc", "--n", "14")
+        code, _, err = run(capsys, "bound", "--family", "lc", "--n", "15")
         assert code == 3
+        assert "assignment limit" in err
         assert "compose" in err
 
     def test_cap_applies_to_largest_component(self, capsys, tmp_path):
@@ -50,25 +54,20 @@ class TestBoundCommand:
         assert "search_space = 32768" in out
 
     def test_oversized_component_exits_cap(self, capsys, tmp_path):
+        # a 13-vertex component is within the assignment limit
         path = tmp_path / "chain13_and_edge.txt"
         path.write_text(render_edge_list(
             from_edges(15, [(i, i + 1) for i in range(12)] + [(13, 14)])))
-        code, _, err = run(capsys, "bound", "--edges", str(path))
-        assert code == 3
-        assert "13-vertex component exceeds the exact-search cap 12" in err
-        # compose rejects disconnected graphs, so the way out is a larger cap
-        assert "--exact-cap 13" in err
-        assert "compose" not in err and "compositional" not in err
-        code, out, _ = run(capsys, "bound", "--edges", str(path), "--exact-cap", "13")
+        code, out, _ = run(capsys, "bound", "--edges", str(path))
         assert code == 0
         assert f"search_space = {4**13 + 4**2}" in out
-        # no cap admits a 15-vertex component, so none is suggested
+        # a 15-vertex component is not; compose takes disconnected graphs
         path.write_text(render_edge_list(
             from_edges(17, [(i, i + 1) for i in range(14)] + [(15, 16)])))
         code, _, err = run(capsys, "bound", "--edges", str(path))
         assert code == 3
-        assert "bound its components one at a time" in err
-        assert "--exact-cap" not in err and "compose" not in err
+        assert "search space 4^15 has 1073741824 assignments" in err
+        assert "hint: use `graphbell compose`" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "bound", "--family", "rc", "--n", "6", "--format", "json")
@@ -101,13 +100,17 @@ class TestBoundCommand:
         assert exc.value.code == 4
 
     def test_exact_cap_above_default_needs_no_second_flag(self, capsys):
-        code, out, _ = run(capsys, "bound", "--family", "lc", "--n", "5", "--exact-cap", "13")
+        # bound needs no flag above compose's default piece size
+        code, out, _ = run(capsys, "bound", "--family", "lc", "--n", "13")
         assert code == 0
-        assert "d = 5/8" in out
+        assert f"search_space = {4**13}" in out
+        code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "5", "--exact-cap", "13")
+        assert code == 0
+        assert "d <= 5/8" in out
 
     def test_search_over_table_limit_exits_cap_before_allocating(self, capsys):
         # 4^20 assignments: a missing guard fails here by running for hours
-        code, _, err = run(capsys, "bound", "--family", "lc", "--n", "20", "--exact-cap", "20")
+        code, _, err = run(capsys, "bound", "--family", "lc", "--n", "20")
         assert code == 3
         assert "assignment limit" in err
 
@@ -160,13 +163,19 @@ def test_exact_cap_below_one_is_usage_error(capsys, command, cap):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--exact-cap", cap])
     assert exc.value.code == 4
-    assert "--exact-cap must be at least 1" in capsys.readouterr().err
+    # only compose takes a cap; bound and verify do not know the flag
+    if command[0] == "compose":
+        assert "--exact-cap must be at least 1" in capsys.readouterr().err
+    else:
+        assert "unrecognized arguments: --exact-cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [
     *((["lc", "--family", "lc", "--n", "5", "--vertex", "0"], flag)
       for flag in (["--exact-cap", "3"], ["--allow-large-cap"], ["--format", "json"])),
     *((["table"], flag) for flag in (["--exact-cap", "3"], ["--allow-large-cap"])),
+    *(([command, "--family", "lc", "--n", "5"], ["--exact-cap", "3"])
+      for command in ("bound", "verify")),
 ])
 def test_flags_a_subcommand_never_reads_are_rejected(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -286,6 +295,28 @@ class TestComposeCommand:
         assert payload["is_exact"]
         assert Fraction(*payload["value"]) == Fraction(10, 16)
 
+    def test_exact_no_violation_exits_2(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "2")
+        assert code == 2
+        assert "bound d <= 1\nexact = True" in out
+        path = tmp_path / "two_edges.txt"
+        path.write_text("4\n0 1\n2 3\n")
+        code, out, _ = run(capsys, "compose", "--edges", str(path), "--format", "json")
+        assert code == 2
+        assert json.loads(out)["is_exact"]
+        # a vacuous bound that is not exact certifies nothing
+        code, out, _ = run(capsys, "compose", "--family", "fc", "--n", "3", "--exact-cap", "2")
+        assert code == 0
+        assert "bound d <= 1\nexact = False" in out
+
+    def test_disconnected_graph_joins_components(self, capsys, tmp_path):
+        path = tmp_path / "path3_and_edge.txt"
+        path.write_text("5\n0 1\n1 2\n3 4\n")
+        code, out, _ = run(capsys, "compose", "--edges", str(path))
+        assert code == 0
+        assert out == ("bound d <= 3/4\nexact = True\ncomponents:\n"
+                       "  exact piece [0, 1, 2]: d = 3/4\n  exact piece [3, 4]: d = 1/1\n")
+
     def test_clique6_under_forced_cap_reports_refusal(self, capsys):
         code, out, _ = run(capsys, "compose", "--family", "fc", "--n", "6", "--exact-cap", "5")
         assert code == 0
@@ -323,6 +354,46 @@ class TestComposeCommand:
         num, den, exact = row.split(",")
         assert Fraction(int(num), int(den)) < 1
         assert exact == "False"
+
+
+class TestCapExitsAreActionable:
+    """Every exit 3 from bound or verify names compose, and compose takes the input."""
+
+    @pytest.mark.parametrize("source", [
+        ["--family", "lc", "--n", "15"],
+        ["--edges", "chain15_and_edge.txt"],
+        ["--family", "fc", "--n", "21"],  # over the term-enumeration cap
+    ])
+    def test_bound_and_verify_hint_compose(self, capsys, tmp_path, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chain15_and_edge.txt").write_text(render_edge_list(
+            from_edges(17, [(i, i + 1) for i in range(14)] + [(15, 16)])))
+        for command in ("bound", "verify"):
+            code, _, err = run(capsys, command, *source)
+            assert code == 3
+            assert "hint: use `graphbell compose`" in err
+        code, out, _ = run(capsys, "compose", *source)
+        assert code == 0
+        assert "exact = False" in out
+
+
+def test_module_entry_point_exit_codes():
+    # sys.exit(main()) and argparse's exit path, across a process boundary
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    cases = [
+        (["bound", "--family", "lc", "--n", "5"], 0),
+        (["bound", "--family", "lc", "--n", "2"], 2),
+        (["compose", "--family", "lc", "--n", "2"], 2),
+        (["bound", "--family", "lc", "--n", "15"], 3),
+        (["bound", "--family", "lc", "--n", "5", "--exact-cap", "3"], 4),
+    ]
+    for argv, want in cases:
+        proc = subprocess.run([sys.executable, "-m", "graphbell.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 class TestLcCommand:

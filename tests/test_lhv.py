@@ -157,8 +157,26 @@ class TestClassicalBound:
         assert c == 6
 
     def test_cap_refused(self):
-        with pytest.raises(CapExceededError):
-            classical_bound(build_family(GraphFamily.LINEAR_CLUSTER, 13))
+        # the assignment limit is the only cap: 4^15 is over it, 4^14 is not
+        with pytest.raises(CapExceededError, match="4\\^15 has 1073741824 assignments"):
+            classical_bound(build_family(GraphFamily.LINEAR_CLUSTER, 15))
+
+    def test_oversized_component_refused_before_any_search_returns(self, monkeypatch):
+        # a 14-chain on the low labels and a 15-chain on the high ones: the
+        # 15-vertex component must be refused before 4^14 assignments are searched
+        calls, returned = [], []
+
+        def counted(terms, **kwargs):
+            calls.append(terms.n)
+            result = operator_bound(terms, **kwargs)
+            returned.append(terms.n)
+            return result
+
+        monkeypatch.setattr("graphbell.lhv.operator_bound", counted)
+        g = from_edges(29, [(i, i + 1) for i in range(28) if i != 13])
+        with pytest.raises(CapExceededError, match="4\\^15"):
+            classical_bound(g)
+        assert (calls, returned) == ([15], [])
 
     @pytest.mark.parametrize("n, pin_z", [(20, True), (14, False)])
     def test_table_over_limit_refused_before_allocating(self, n, pin_z):
