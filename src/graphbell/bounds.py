@@ -19,9 +19,9 @@ from functools import lru_cache, reduce
 from .errors import CapExceededError, InvalidGraphError
 from .graph import (
     Graph,
-    GraphFamily,
     bridges,
     connected_components,
+    from_edges,
     induced_subgraph,
     is_tree,
     iter_bits,
@@ -29,7 +29,6 @@ from .graph import (
     without_edge,
 )
 from .lhv import classical_bound
-from .table import FAMILY_D
 
 EXACT_SEARCH_CAP = 12  # default largest piece the composer solves exactly
 
@@ -179,24 +178,17 @@ _EXHAUSTIVE_PIECE_LIMIT = 50_000
 def _best_path_partition(length: int, max_piece: int) -> tuple[list[Fraction], list[int]]:
     """DP over contiguous partitions of a chain into pieces of 1..max_piece.
 
-    Returns (best value per length, first-piece size realizing it). Pieces
-    carry their exact chain values; one- and two-vertex pieces count 1.
+    Returns (best value per length, smallest first-piece size realizing it).
+    Each piece carries the exact D of the path on its vertex count, solved
+    by the exact search.
     """
-    piece_d = FAMILY_D[GraphFamily.LINEAR_CLUSTER]
-    max_piece = min(max_piece, 10)
+    piece_d = [Fraction(1)] + [_exact_d_of(from_edges(k, [(i, i + 1) for i in range(k - 1)]))
+                               for k in range(1, min(max_piece, length) + 1)]
     best: list[Fraction] = [Fraction(1)] * (length + 1)
     first: list[int] = [0] * (length + 1)
     for m in range(1, length + 1):
-        if m <= max_piece:
-            best[m] = piece_d.get(m, Fraction(1))
-            first[m] = m
-        else:
-            best[m] = Fraction(2)  # above any valid bound
-        for k in range(1, min(max_piece, m - 1) + 1):
-            candidate = piece_d.get(k, Fraction(1)) * best[m - k]
-            if candidate < best[m]:
-                best[m] = candidate
-                first[m] = k
+        best[m], first[m] = min((piece_d[k] * best[m - k], k)
+                                for k in range(1, min(max_piece, m) + 1))
     return best, first
 
 
@@ -286,13 +278,13 @@ def bridge_compose_bound(
 def chain_bound(length: int) -> Fraction:
     """Best product bound for a linear chain, minimized over bridge partitions.
 
-    Contiguous pieces carry their exact chain values (known up to 10
-    vertices); a chain of at most 10 vertices returns its exact value
-    directly.
+    Contiguous pieces of up to EXACT_SEARCH_CAP vertices carry their exact
+    chain values from the exact search, so a chain of at most that many
+    vertices gets its exact value.
     """
     if length < 2:
         raise ValueError(f"chain bound needs length >= 2, got {length}")
-    best, _ = _best_path_partition(length, 10)
+    best, _ = _best_path_partition(length, EXACT_SEARCH_CAP)
     return best[length]
 
 

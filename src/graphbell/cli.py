@@ -24,8 +24,8 @@ from .graph import (
     parse_graph6,
     render_edge_list,
 )
-from .lhv import classical_bound, operator_bound
-from .oracle import DENSE_CAP, check_stabilized, quantum_bell_value
+from .lhv import SEARCH_ASSIGNMENTS, classical_bound, operator_bound
+from .oracle import check_stabilized, quantum_bell_value
 from .stabilizer import apply_permutation, bell_terms
 from .table import FAMILY_D, FAMILY_SIZES
 
@@ -34,8 +34,6 @@ EXIT_NO_VIOLATION = 2
 EXIT_CAP = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
-
-UNREDUCED_SEARCH_CAP = 8  # verify runs its two 8^n checks up to this n
 
 _FAMILY_CODES = {f.value: f for f in GraphFamily}
 
@@ -91,8 +89,10 @@ def _build_parser() -> _Parser:
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
     if "exact_cap" in args:  # only compose takes a cap
-        if args.exact_cap < 1:
-            parser.error(f"--exact-cap must be at least 1, got {args.exact_cap}")
+        largest = (SEARCH_ASSIGNMENTS.bit_length() - 1) // 2  # the largest n with 4^n searchable
+        if not 1 <= args.exact_cap <= largest:
+            parser.error(f"--exact-cap must be at least 1 and at most {largest}, "
+                         f"got {args.exact_cap}")
     if args.command != "table":
         if len([s for s in (args.family, args.edges, args.graph6) if s]) != 1:
             parser.error("exactly one of --family, --edges, --graph6 is required")
@@ -193,31 +193,31 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(g: Graph) -> list[tuple[str, bool | None, str]]:
-    """Run each verification; (name, passed-or-None-if-skipped, detail)."""
+    """Run each verification; (name, passed-or-None-if-skipped, detail).
+
+    A check whose engine refuses the graph as too large is skipped with the
+    engine's own message; the classical bound itself is never skipped.
+    """
     checks: list[tuple[str, bool | None, str]] = []
-    if g.n <= DENSE_CAP:
-        residual = check_stabilized(g)
-        checks.append(("stabilizer-eigenvalue", residual < 1e-12, f"max residual {residual:.3e}"))
-        q = quantum_bell_value(g)
-        checks.append(("quantum-bell-value", abs(q - (1 << g.n)) < 1e-9,
-                       f"<B> = {q:.6f}, expected {1 << g.n}"))
-    else:
-        checks.append(("stabilizer-eigenvalue", None, f"skipped: n > dense cap {DENSE_CAP}"))
-        checks.append(("quantum-bell-value", None, f"skipped: n > dense cap {DENSE_CAP}"))
+
+    def optional(name: str, compute, judge) -> None:
+        try:
+            checks.append((name, *judge(compute())))
+        except CapExceededError as exc:
+            checks.append((name, None, f"skipped: {exc}"))
+
+    optional("stabilizer-eigenvalue", lambda: check_stabilized(g),
+             lambda r: (r < 1e-12, f"max residual {r:.3e}"))
+    optional("quantum-bell-value", lambda: quantum_bell_value(g),
+             lambda q: (abs(q - (1 << g.n)) < 1e-9, f"<B> = {q:.6f}, expected {1 << g.n}"))
     report = classical_bound(g)
     checks.append(("classical-bound", True, f"c = {report.c}, d = {_frac(report.d)}"))
-    if g.n <= UNREDUCED_SEARCH_CAP:
-        terms = bell_terms(g)
-        c_full, _, _ = operator_bound(terms, pin_z=False)
-        checks.append(("z-restriction-equivalence", c_full == report.c,
-                       f"restricted c = {report.c}, unrestricted c = {c_full}"))
-        c_perm, _, _ = operator_bound(apply_permutation(terms, 0, "1YXZ"), pin_z=False)
-        checks.append(("observable-permutation-invariance", c_perm == report.c,
-                       f"c after X<->Y swap on qubit 0 = {c_perm}"))
-    else:
-        detail = f"skipped: unrestricted search capped at n <= {UNREDUCED_SEARCH_CAP}"
-        checks.append(("z-restriction-equivalence", None, detail))
-        checks.append(("observable-permutation-invariance", None, detail))
+    terms = bell_terms(g)
+    optional("z-restriction-equivalence", lambda: operator_bound(terms, pin_z=False)[0],
+             lambda c: (c == report.c, f"restricted c = {report.c}, unrestricted c = {c}"))
+    optional("observable-permutation-invariance",
+             lambda: operator_bound(apply_permutation(terms, 0, "1YXZ"), pin_z=False)[0],
+             lambda c: (c == report.c, f"c after X<->Y swap on qubit 0 = {c}"))
     lc_report = classical_bound(local_complement(g, 0))
     checks.append(("local-complementation-invariance", lc_report.c == report.c,
                    f"c at complemented vertex 0 = {lc_report.c}"))

@@ -93,6 +93,17 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
+def _search_space(n: int, classes: int) -> int:
+    """Assignments of a search over ``classes`` observables per qubit; refuses the oversized."""
+    space = 1 << (classes * n)
+    if space > SEARCH_ASSIGNMENTS:
+        raise CapExceededError(
+            f"search space {1 << classes}^{n} has {space} assignments, "
+            f"over the {SEARCH_ASSIGNMENTS}-assignment limit"
+        )
+    return space
+
+
 def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over LHV models for an arbitrary term list.
 
@@ -118,12 +129,7 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     """
     n = b.n
     classes = 2 if pin_z else 3
-    space = 1 << (classes * n)
-    if space > SEARCH_ASSIGNMENTS:
-        raise CapExceededError(
-            f"search space {1 << classes}^{n} has {space} assignments, "
-            f"over the {SEARCH_ASSIGNMENTS}-assignment limit"
-        )
+    space = _search_space(n, classes)
     width = (classes - 1) * n  # key bits
     size = 1 << width
     x, z = b.x_masks, b.z_masks
@@ -197,11 +203,11 @@ def classical_bound(g: Graph) -> BoundReport:
     The search runs over the 4^n Z-pinned space, which is exact for graphs.
     Disconnected graphs factor: the operator is a tensor product over
     components, so C is the product of the per-component maxima and the
-    argmax is assembled from the per-component argmaxes. Components are
-    searched largest first, so one over the assignment limit is refused
-    before any search runs.
+    argmax is assembled from the per-component argmaxes. A component over
+    the assignment limit is refused before any term list is built.
     """
-    comps = sorted(connected_components(g), key=int.bit_count, reverse=True)
+    comps = connected_components(g)
+    _search_space(max(map(int.bit_count, comps)), 2)
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0

@@ -2,9 +2,9 @@
 
 These are the exact D(G) = C(G)/2^n values for the linear cluster, ring
 cluster, star, and fully connected families at 3..10 vertices. They serve as
-regression anchors: the acceptance suite recomputes every entry from scratch
-and requires exact equality, and the chain bound uses the linear-cluster row
-as its piece values.
+regression anchors: `table --check` and the acceptance suite recompute every
+entry from scratch and require exact equality. Nothing computes with them;
+the chain bound takes its piece values from the exact search.
 """
 
 from __future__ import annotations

@@ -10,12 +10,21 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import reduce
+from fractions import Fraction
+from functools import lru_cache, reduce
 
 import hypothesis.strategies as st
 import numpy as np
 
-from graphbell import Graph, InvalidGraphError, PauliString, from_edges, generator, is_connected
+from graphbell import (
+    Graph,
+    InvalidGraphError,
+    PauliString,
+    classical_bound,
+    from_edges,
+    generator,
+    is_connected,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,6 +102,29 @@ def reference_scan(b, pin_z: bool) -> tuple[int, int]:
     np.abs(values, out=values)
     index = int(np.argmax(values))
     return int(values[index]), index
+
+
+@lru_cache(maxsize=None)
+def path_c(k: int) -> int:
+    """Exact classical bound C of the k-vertex path, straight from the exact search."""
+    return classical_bound(from_edges(k, [(i, i + 1) for i in range(k - 1)])).c
+
+
+def best_path_composition(length: int, cap: int) -> Fraction:
+    """Minimum over compositions of ``length`` into parts <= cap of the product of path D values.
+
+    The product does not depend on the order of the parts, so each multiset
+    of parts is enumerated once, as a nonincreasing sequence. Every product
+    has denominator 2^length, so the numerators C are compared as integers.
+    """
+    def products(rest: int, largest: int):
+        if rest == 0:
+            yield 1
+        for part in range(min(rest, largest), 0, -1):
+            for tail in products(rest - part, part):
+                yield path_c(part) * tail
+
+    return Fraction(min(products(length, cap)), 1 << length)
 
 
 def edge_index_pairs(n: int) -> list[tuple[int, int]]:

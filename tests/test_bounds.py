@@ -25,7 +25,12 @@ from graphbell import (
 from graphbell.bounds import BridgeStep, ExactStep, SubgraphStep, replay
 from graphbell.graph import iter_bits, reach, without_edge
 from graphbell.table import FAMILY_D
-from helpers import compose_bridge, connected_graph_classes, random_connected_graph
+from helpers import (
+    best_path_composition,
+    compose_bridge,
+    connected_graph_classes,
+    random_connected_graph,
+)
 
 LC = GraphFamily.LINEAR_CLUSTER
 FC = GraphFamily.FULLY_CONNECTED
@@ -100,9 +105,23 @@ class TestBridgeCompose:
     def test_relabelled_paths_compose_like_the_chain(self, n):
         rng = random.Random(n)
         chain = build_family(LC, n)
-        for cap in range(3, 11):
+        for cap in range(3, 13):
             assert (bridge_compose_bound(_relabelled(rng, chain), exact_cap=cap).value
                     == bridge_compose_bound(chain, exact_cap=cap).value)
+
+    @pytest.mark.parametrize("cap", range(3, 13))
+    def test_chain_composes_to_its_best_partition(self, cap):
+        # every piece up to the cap carries its exact value, not a table's
+        for length in range(2, 32):
+            assert (bridge_compose_bound(build_family(LC, length), exact_cap=cap).value
+                    == best_path_composition(length, cap))
+
+    def test_greedy_chain_matches_exhaustive_at_default_cap(self):
+        chain = build_family(LC, 31)
+        greedy = bridge_compose_bound(chain)
+        assert greedy.value == bridge_compose_bound(chain, exhaustive=True).value
+        assert greedy.value == Fraction(18837, 524288)
+        assert bridge_compose_bound(build_family(LC, 30)).value == Fraction(5313, 131072)
 
     def test_json_round_trip_structure(self):
         bound = bridge_compose_bound(build_family(LC, 8), exact_cap=4)
@@ -256,9 +275,11 @@ class TestSubgraphBound:
 
 class TestChainBound:
     def test_exact_for_short_chains(self):
-        for length in range(2, 11):
-            assert chain_bound(length) == FAMILY_D[LC].get(length, 1)
+        for length in range(2, 13):
             assert chain_bound(length) == classical_bound(build_family(LC, length)).d
+        for length in range(3, 11):
+            assert chain_bound(length) == FAMILY_D[LC][length]
+        assert (chain_bound(11), chain_bound(12)) == (Fraction(39, 128), Fraction(69, 256))
 
     def test_seven_unbeaten_by_partitions(self):
         assert chain_bound(7) == Fraction(8, 16)
@@ -289,6 +310,9 @@ class TestTreeCertificate:
         assert cert.longest_path_length == 3
         assert cert.bound == Fraction(3, 4)
         assert classical_bound(build_family(GraphFamily.STAR, 9)).d == Fraction(34, 64)
+
+    def test_chain_twelve_is_exact(self):
+        assert tree_certificate(build_family(LC, 12)).bound == Fraction(69, 256)
 
     def test_caterpillar_with_spine_ten(self):
         spine = [(i, i + 1) for i in range(9)]

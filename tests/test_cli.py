@@ -271,12 +271,33 @@ class TestVerifyCommand:
         assert len(rows) == 1 + 6
 
     def test_unpinned_checks_skipped_above_their_cap(self, capsys):
-        code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "9")
+        # 8^10 is over the assignment limit; the skip carries the engine's refusal
+        code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "10")
         assert code == 0
         skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
         assert [line.split()[1] for line in skipped] == [
             "z-restriction-equivalence:", "observable-permutation-invariance:"]
-        assert all("capped at n <= 8" in line for line in skipped)
+        assert all(line.endswith(f"skipped: search space 8^10 has {8**10} assignments, "
+                                 f"over the {1 << 28}-assignment limit") for line in skipped)
+
+    def test_skips_follow_the_engines_limits(self, capsys, monkeypatch):
+        # the limits live in the engines: lowering them there is all verify sees
+        monkeypatch.setattr("graphbell.lhv.SEARCH_ASSIGNMENTS", 4**5)
+        monkeypatch.setattr("graphbell.oracle.DENSE_CAP", 4)
+        code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "5")
+        assert code == 0
+        status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+        dense = "skipped: dense oracle capped at 4 qubits, got 5"
+        search = f"skipped: search space 8^5 has {8**5} assignments, over the 1024-assignment limit"
+        assert status == {
+            "stabilizer-eigenvalue": f"SKIP stabilizer-eigenvalue: {dense}",
+            "quantum-bell-value": f"SKIP quantum-bell-value: {dense}",
+            "classical-bound": "ok   classical-bound: c = 20, d = 5/8",
+            "z-restriction-equivalence": f"SKIP z-restriction-equivalence: {search}",
+            "observable-permutation-invariance": f"SKIP observable-permutation-invariance: {search}",
+            "local-complementation-invariance":
+                "ok   local-complementation-invariance: c at complemented vertex 0 = 20",
+        }
 
 
 class TestComposeCommand:
@@ -338,13 +359,15 @@ class TestComposeCommand:
         assert "explored too many pieces" in err
         assert "hint" not in err
 
-    def test_table_limit_exits_cap_without_hint(self, capsys):
-        # the hint names compose itself, so compose must not print it
-        code, _, err = run(capsys, "compose", "--family", "fc", "--n", "20",
-                           "--exact-cap", "20")
-        assert code == 3
-        assert "assignment limit" in err
-        assert "hint" not in err
+    def test_exact_cap_over_search_limit_is_usage_error(self, capsys):
+        # 4^15 is over the assignment limit, so no piece of 15 vertices is ever solvable
+        with pytest.raises(SystemExit) as exc:
+            main(["compose", "--family", "fc", "--n", "20", "--exact-cap", "15"])
+        assert exc.value.code == 4
+        assert "--exact-cap must be at least 1 and at most 14, got 15" in capsys.readouterr().err
+        code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "5", "--exact-cap", "14")
+        assert code == 0
+        assert "d <= 5/8" in out
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "compose", "--family", "lc", "--n", "16", "--format", "csv")
@@ -362,7 +385,7 @@ class TestCapExitsAreActionable:
     @pytest.mark.parametrize("source", [
         ["--family", "lc", "--n", "15"],
         ["--edges", "chain15_and_edge.txt"],
-        ["--family", "fc", "--n", "21"],  # over the term-enumeration cap
+        ["--family", "fc", "--n", "21"],  # refused before its 2^21 terms are built
     ])
     def test_bound_and_verify_hint_compose(self, capsys, tmp_path, monkeypatch, source):
         monkeypatch.chdir(tmp_path)
@@ -388,6 +411,7 @@ def test_module_entry_point_exit_codes():
         (["compose", "--family", "lc", "--n", "2"], 2),
         (["bound", "--family", "lc", "--n", "15"], 3),
         (["bound", "--family", "lc", "--n", "5", "--exact-cap", "3"], 4),
+        (["compose", "--family", "lc", "--n", "5", "--exact-cap", "15"], 4),
     ]
     for argv, want in cases:
         proc = subprocess.run([sys.executable, "-m", "graphbell.cli", *argv], env=env,

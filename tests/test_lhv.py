@@ -162,21 +162,20 @@ class TestClassicalBound:
             classical_bound(build_family(GraphFamily.LINEAR_CLUSTER, 15))
 
     def test_oversized_component_refused_before_any_search_returns(self, monkeypatch):
-        # a 14-chain on the low labels and a 15-chain on the high ones: the
-        # 15-vertex component must be refused before 4^14 assignments are searched
-        calls, returned = [], []
+        # fc 20, and a 14-chain on the low labels with a 15-chain on the high
+        # ones: each is refused before any term list is built, so before any search
+        calls = []
 
-        def counted(terms, **kwargs):
-            calls.append(terms.n)
-            result = operator_bound(terms, **kwargs)
-            returned.append(terms.n)
-            return result
+        def counted(sub):
+            calls.append(sub.n)
+            return bell_terms(sub)
 
-        monkeypatch.setattr("graphbell.lhv.operator_bound", counted)
-        g = from_edges(29, [(i, i + 1) for i in range(28) if i != 13])
-        with pytest.raises(CapExceededError, match="4\\^15"):
-            classical_bound(g)
-        assert (calls, returned) == ([15], [])
+        monkeypatch.setattr("graphbell.lhv.bell_terms", counted)
+        for g, space in [(build_family(GraphFamily.FULLY_CONNECTED, 20), "4\\^20"),
+                         (from_edges(29, [(i, i + 1) for i in range(28) if i != 13]), "4\\^15")]:
+            with pytest.raises(CapExceededError, match=space):
+                classical_bound(g)
+        assert calls == []
 
     @pytest.mark.parametrize("n, pin_z", [(20, True), (14, False)])
     def test_table_over_limit_refused_before_allocating(self, n, pin_z):
