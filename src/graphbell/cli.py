@@ -24,7 +24,7 @@ from .graph import (
     parse_graph6,
     render_edge_list,
 )
-from .lhv import SEARCH_ASSIGNMENTS, classical_bound, operator_bound
+from .lhv import classical_bound, operator_bound, search_limit, search_space
 from .oracle import check_stabilized, quantum_bell_value
 from .stabilizer import apply_permutation, bell_terms
 from .table import FAMILY_D, FAMILY_SIZES
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
     if "exact_cap" in args:  # only compose takes a cap
-        largest = (SEARCH_ASSIGNMENTS.bit_length() - 1) // 2  # the largest n with 4^n searchable
+        largest = search_limit(pin_z=True)
         if not 1 <= args.exact_cap <= largest:
             parser.error(f"--exact-cap must be at least 1 and at most {largest}, "
                          f"got {args.exact_cap}")
@@ -212,11 +212,14 @@ def _verify_checks(g: Graph) -> list[tuple[str, bool | None, str]]:
              lambda q: (abs(q - (1 << g.n)) < 1e-9, f"<B> = {q:.6f}, expected {1 << g.n}"))
     report = classical_bound(g)
     checks.append(("classical-bound", True, f"c = {report.c}, d = {_frac(report.d)}"))
-    terms = bell_terms(g)
-    optional("z-restriction-equivalence", lambda: operator_bound(terms, pin_z=False)[0],
+
+    def unpinned_c(permutation: str) -> int:  # "1XYZ" is the identity
+        search_space(g.n, pin_z=False)  # refused before the 2^n terms are built
+        return operator_bound(apply_permutation(bell_terms(g), 0, permutation), pin_z=False)[0]
+
+    optional("z-restriction-equivalence", lambda: unpinned_c("1XYZ"),
              lambda c: (c == report.c, f"restricted c = {report.c}, unrestricted c = {c}"))
-    optional("observable-permutation-invariance",
-             lambda: operator_bound(apply_permutation(terms, 0, "1YXZ"), pin_z=False)[0],
+    optional("observable-permutation-invariance", lambda: unpinned_c("1YXZ"),
              lambda c: (c == report.c, f"c after X<->Y swap on qubit 0 = {c}"))
     lc_report = classical_bound(local_complement(g, 0))
     checks.append(("local-complementation-invariance", lc_report.c == report.c,

@@ -93,15 +93,18 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
-def _search_space(n: int, classes: int) -> int:
-    """Assignments of a search over ``classes`` observables per qubit; refuses the oversized."""
-    space = 1 << (classes * n)
-    if space > SEARCH_ASSIGNMENTS:
-        raise CapExceededError(
-            f"search space {1 << classes}^{n} has {space} assignments, "
-            f"over the {SEARCH_ASSIGNMENTS}-assignment limit"
-        )
-    return space
+def search_limit(pin_z: bool) -> int:
+    """Most qubits the search admits: the largest n with 4^n (Z pinned) or 8^n assignments."""
+    return (SEARCH_ASSIGNMENTS.bit_length() - 1) // (2 if pin_z else 3)
+
+
+def search_space(n: int, pin_z: bool) -> int:
+    """Assignments of an n-qubit search; refuses n over ``search_limit`` before any work."""
+    base = 4 if pin_z else 8
+    if n > search_limit(pin_z):
+        raise CapExceededError(f"search space {base}^{n} has {base**n} assignments, "
+                               f"over the {SEARCH_ASSIGNMENTS}-assignment limit")
+    return base**n
 
 
 def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
@@ -114,23 +117,14 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     lexicographically smallest (neg_x, neg_y, neg_z) triple achieving the
     maximum, whatever order the search visits assignments in.
 
-    The search changes basis from a term's (X, Y, Z) letters to its key
-    x<<n | z (x alone when Z is pinned): for each e = neg_x ^ neg_y ^ neg_z,
-    the values over (neg_x, neg_z) are one Walsh-Hadamard transform of the
-    row merged[key] * (-1)^<y(key), e>, y = x & z being a function of the key
-    (see the module docstring). Rows are transformed in batches of about
-    _BATCH_BYTES while a running maximum is kept, so memory is a few
-    batch-sized buffers, not a cell per assignment.
-
-    Rows are int16 when there are fewer than 2^15 terms and int32 otherwise:
-    every partial sum of the transform is bounded by the term count, so both
-    are exact. Spaces over SEARCH_ASSIGNMENTS are refused before anything is
-    allocated.
+    The search is the change of basis of the module docstring: rows of about
+    _BATCH_BYTES are transformed while a running maximum is kept, so memory
+    is a few batch-sized buffers, not a cell per assignment. More qubits
+    than ``search_limit`` are refused before anything is allocated.
     """
     n = b.n
-    classes = 2 if pin_z else 3
-    space = _search_space(n, classes)
-    width = (classes - 1) * n  # key bits
+    space = search_space(n, pin_z)
+    width = n if pin_z else 2 * n  # key bits
     size = 1 << width
     x, z = b.x_masks, b.z_masks
     y = x & z
@@ -207,7 +201,7 @@ def classical_bound(g: Graph) -> BoundReport:
     the assignment limit is refused before any term list is built.
     """
     comps = connected_components(g)
-    _search_space(max(map(int.bit_count, comps)), 2)
+    search_space(max(map(int.bit_count, comps)), pin_z=True)
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0

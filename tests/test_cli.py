@@ -11,6 +11,7 @@ import pytest
 
 from graphbell import GraphFamily, build_family, from_edges, parse_edge_list, render_edge_list
 from graphbell.cli import _build_parser, main
+from graphbell.stabilizer import bell_terms
 
 
 def run(capsys, *argv):
@@ -279,6 +280,31 @@ class TestVerifyCommand:
             "z-restriction-equivalence:", "observable-permutation-invariance:"]
         assert all(line.endswith(f"skipped: search space 8^10 has {8**10} assignments, "
                                  f"over the {1 << 28}-assignment limit") for line in skipped)
+
+    @pytest.mark.parametrize("n, edges", [(16, 8), (21, 0), (22, 11)])
+    def test_large_disconnected_graph_skips_before_building_terms(
+            self, capsys, tmp_path, monkeypatch, n, edges):
+        # n disjoint vertices and edges: classical-bound solves the components,
+        # and the unpinned checks are refused before the 2^n terms are built
+        sizes = []
+
+        def counted(g):
+            sizes.append(g.n)
+            return bell_terms(g)
+
+        monkeypatch.setattr("graphbell.cli.bell_terms", counted)
+        monkeypatch.setattr("graphbell.lhv.bell_terms", counted)
+        path = tmp_path / "disjoint.txt"
+        path.write_text(f"{n}\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(edges)))
+        code, out, _ = run(capsys, "verify", "--edges", str(path))
+        assert code == 0
+        search = f"skipped: search space 8^{n} has {8**n} assignments, over the {1 << 28}-assignment limit"
+        status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+        assert status["z-restriction-equivalence"].endswith(search)
+        assert status["observable-permutation-invariance"].endswith(search)
+        assert status["classical-bound"].startswith("ok")
+        assert status["local-complementation-invariance"].startswith("ok")
+        assert max(sizes) == (2 if edges else 1)
 
     def test_skips_follow_the_engines_limits(self, capsys, monkeypatch):
         # the limits live in the engines: lowering them there is all verify sees

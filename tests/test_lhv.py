@@ -22,6 +22,7 @@ from graphbell import (
     local_complement,
     operator_bound,
 )
+from graphbell.lhv import search_limit
 from helpers import (
     all_labeled_graphs,
     connected_graphs,
@@ -186,7 +187,9 @@ class TestClassicalBound:
 
     @pytest.mark.parametrize("pin_z, fits, refused", [(True, 5, 6), (False, 3, 4)])
     def test_table_limit_boundary(self, monkeypatch, pin_z, fits, refused):
+        assert search_limit(pin_z) == (14 if pin_z else 9)
         monkeypatch.setattr("graphbell.lhv.SEARCH_ASSIGNMENTS", 4**5)
+        assert search_limit(pin_z) == fits
         c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, fits)),
                                      pin_z=pin_z)
         assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, fits)).c,
