@@ -12,8 +12,11 @@ search key of a term is x<<n | z, and y = x & z is a function of the key.
 So for each e, the Bell values over (neg_x, neg_z) are one integer
 Walsh-Hadamard transform of the row merged[key] * (-1)^<y(key), e>, where
 merged sums the signs of the terms that share a key. The rows are
-transformed batch by batch with a running maximum, which evaluates every
-assignment exactly in a few batches of memory.
+transformed batch by batch with a running maximum, which covers every
+assignment exactly in a few batches of memory. When every term has an even
+number of Y letters, as every stabilizer element of a graph has, row e and
+row e ^ 1...1 are equal, so only the rows with e < 2^(n-1) are transformed;
+the twin of (neg_x, neg_y, neg_z) is (neg_x, neg_y ^ 1...1, neg_z).
 
 The Z observables can be pinned to +1 without changing the maximum for
 graph-form operators (flipping Z on one qubit is absorbed by flipping Y
@@ -119,8 +122,10 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
 
     The search is the change of basis of the module docstring: rows of about
     _BATCH_BYTES are transformed while a running maximum is kept, so memory
-    is a few batch-sized buffers, not a cell per assignment. More qubits
-    than ``search_limit`` are refused before anything is allocated.
+    is a few batch-sized buffers, not a cell per assignment. If no term has
+    an odd number of Y letters, the upper half of the rows is covered by
+    their twins in the lower half. More qubits than ``search_limit`` are
+    refused before anything is allocated.
     """
     n = b.n
     space = search_space(n, pin_z)
@@ -138,12 +143,15 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
         keys = ((x << n) | z).astype(np.intp)
         all_keys = np.arange(size, dtype=np.uint32)
         y_of_key = (all_keys >> n) & all_keys
+    full = (1 << n) - 1
+    half = not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
+    twin = full if half else 0
     dtype = np.int16 if len(b) < 1 << 15 else np.int32
     merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
     # with e fastest, so every butterfly run is at least _MIN_BATCH_ROWS long
     fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - width
-    row_bits = min(n, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
+    row_bits = min(n - half, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
     # the rows of e < rows, laid out [e, key] and built by doubling over the
     # bits of e; batch `base` is these rows times (-1)^<y(key), base>
@@ -164,7 +172,7 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     out = bufs[(width - 1) % 2]
     z_bits = width - n
     best, best_key = -1, 0
-    for base in range(0, 1 << n, rows):
+    for base in range(0, 1 << (n - half), rows):
         if base:
             chi = _SIGNS.take(np.bitwise_count(y_of_key & base) & 1)
             np.multiply(by_e.T, chi[:, None], out=batch)
@@ -183,11 +191,11 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
         neg_x = col >> z_bits
         neg_z = col & ((1 << z_bits) - 1)
         neg_y = (base + (pos & (rows - 1))) ^ neg_x ^ neg_z
+        neg_y = np.minimum(neg_y, neg_y ^ twin)  # the smaller of the twins
         lex = (neg_x << (2 * n)) | (neg_y << n) | neg_z
         key = int(lex[lex.argmin()])
         if m > best or key < best_key:
             best, best_key = m, key
-    full = (1 << n) - 1
     return best, Assignment(best_key >> (2 * n), best_key >> n & full, best_key & full), space
 
 

@@ -299,6 +299,76 @@ class TestDeterminism:
             assert operator_bound(b, pin_z=pin_z)[:2] == (copies, ALL_PLUS)
 
 
+def term_list(texts: list[str]) -> BellOperator:
+    ts = [PauliString.from_text(text) for text in texts]
+    return BellOperator(
+        ts[0].n,
+        np.array([t.x_mask for t in ts], dtype=np.uint32),
+        np.array([t.z_mask for t in ts], dtype=np.uint32),
+        np.array([t.sign for t in ts], dtype=np.int8),
+    )
+
+
+def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
+    """Up to 12 random terms, each term's Y letters fixed by its X mask so Z can be pinned.
+
+    Every term has an even number of Y letters, except the first when ``odd_y``.
+    """
+    y_of_x: dict[int, int] = {}
+    texts = []
+    for k in range(rng.randint(1, 12)):
+        odd = odd_y and k == 0
+        x = rng.randrange(odd, 1 << n)
+        if x not in y_of_x:
+            y = rng.randrange(1 << n) & x
+            if y.bit_count() % 2 != odd:
+                y ^= x & -x  # turn the lowest qubit of x from X to Y or back
+            y_of_x[x] = y
+        y = y_of_x[x]
+        z_letters = rng.randrange(1 << n) & ~x
+        letters = "".join("Y" if y >> q & 1 else "X" if x >> q & 1 else
+                          "Z" if z_letters >> q & 1 else "1" for q in range(n))
+        texts.append(rng.choice("+-") + letters)
+    return term_list(texts)
+
+
+class TestTwinRows:
+    """Rows e and e ^ 1...1 are equal exactly when every term has an even number of Y letters."""
+
+    @pytest.mark.parametrize("pin_z", [True, False])
+    @pytest.mark.parametrize("batches", ["default", "small"])
+    def test_odd_y_maximum_lies_in_the_upper_half(self, monkeypatch, pin_z, batches):
+        # 1 - (-1)^neg_y reaches 2 only at neg_y = 1, so e = neg_x ^ neg_y is
+        # in the upper half for the smallest maximizer (0, 1, 0)
+        if batches == "small":
+            small_batches(monkeypatch)
+        c, argmax, _ = operator_bound(term_list(["+1", "-Y"]), pin_z=pin_z)
+        assert (c, argmax) == (2, Assignment(0, 1, 0))
+
+    @pytest.mark.parametrize("pin_z", [True, False])
+    def test_reference_scan_on_random_term_lists(self, monkeypatch, pin_z):
+        small_batches(monkeypatch)
+        rng = random.Random(20261018)
+        for k in range(120):
+            n = rng.randint(1, 4)
+            b = random_term_list(rng, n, odd_y=k % 2 == 1)
+            c, argmax, _ = operator_bound(b, pin_z=pin_z)
+            assert (c, counter_index(argmax, n, pin_z)) == reference_scan(b, pin_z=pin_z)
+
+    def test_every_graph_term_has_even_y(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                b = bell_terms(g)
+                assert not (np.bitwise_count(b.x_masks & b.z_masks) & 1).any()
+
+    def test_connected_argmax_takes_the_lower_twin(self):
+        rng = random.Random(4242)
+        gs = [build_family(fam, n) for fam in GraphFamily for n in range(2, 13)]
+        gs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(100)]
+        for g in gs:
+            assert not classical_bound(g).argmax.neg_y >> (g.n - 1) & 1
+
+
 class TestPermutation:
     def test_identity_permutation(self):
         b = bell_terms(FC3)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +24,20 @@ def test_chain_growth_demo_prints_chain_bounds():
     for row in rows:
         length, bound, _ = row.split()
         assert Fraction(bound) == chain_bound(int(length))
+
+
+def test_bench_rows_records_one_small_row(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_rows.py"), "--label", "smoke",
+         "--rows", "bound-rc-10", "--repeats", "1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert report["src_lines"] > 0
+    row = report["rows"]["bound-rc-10"]
+    assert list(report["rows"]) == ["bound-rc-10"]
+    assert row["argv"] == ["graphbell", "bound", "--family", "rc", "--n", "10"]
+    assert row["exit_codes"] == [0]
+    assert row["wall_s"] > 0 and row["peak_rss_mb"] > 0
