@@ -2,15 +2,15 @@
 """Time the North-star command-line rows and write BENCH_<label>.json.
 
     python scripts/bench_rows.py --label 1
-    python scripts/bench_rows.py --label smoke --rows bound-rc-10 --repeats 1
 
 Each run of a row is one `graphbell` command in a fresh Python process that
 imports the package from this checkout's ``src/``, which is how a
 command-line user meets it. A row's ``wall_s`` and ``peak_rss_mb`` are the
-medians over ``--repeats`` runs (wall clock from start to exit, and the
+medians over 3 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
-Standard library only; the exit status is 1 if any run did not exit 0.
+The file is written at the root of the checkout. Standard library only; the
+exit status is 1 if any run did not exit 0.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
 
 ROWS = {
     "bound-rc-10": ["bound", "--family", "rc", "--n", "10"],
@@ -66,20 +67,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per row")
-    parser.add_argument("--rows", nargs="+", choices=sorted(ROWS), default=list(ROWS))
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     rows, failed = {}, False
-    for name in args.rows:
-        runs = [run_once(ROWS[name], env) for _ in range(args.repeats)]
+    for name, argv in ROWS.items():
+        runs = [run_once(argv, env) for _ in range(REPEATS)]
         walls, rss, codes = zip(*runs)
         failed |= any(codes)
-        rows[name] = {"argv": ["graphbell", *ROWS[name]],
+        rows[name] = {"argv": ["graphbell", *argv],
                       "wall_s": round(statistics.median(walls), 3),
                       "peak_rss_mb": round(statistics.median(rss), 1),
                       "runs_wall_s": [round(w, 3) for w in walls],
@@ -87,8 +83,8 @@ def main() -> int:
         print(f"{name:14s} {rows[name]['wall_s']:8.3f} s {rows[name]['peak_rss_mb']:8.1f} MB"
               f"  exit {sorted(set(codes))}", flush=True)
     report = {"label": args.label, "machine": machine(env), "src_lines": src_lines(),
-              "repeats": args.repeats, "rows": rows}
-    out = args.out_dir / f"BENCH_{args.label}.json"
+              "repeats": REPEATS, "rows": rows}
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 1 if failed else 0

@@ -144,7 +144,7 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
         all_keys = np.arange(size, dtype=np.uint32)
         y_of_key = (all_keys >> n) & all_keys
     full = (1 << n) - 1
-    half = not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
+    half = n > 0 and not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
     twin = full if half else 0
     dtype = np.int16 if len(b) < 1 << 15 else np.int32
     merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)

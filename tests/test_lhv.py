@@ -51,27 +51,27 @@ def scalar_term_value(t: PauliString, a: Assignment) -> int:
     return value
 
 
-def one_term(t: PauliString) -> BellOperator:
-    """Operator holding the single term t."""
+def term_list(ts: list[PauliString]) -> BellOperator:
+    """Operator holding the terms ts, in order."""
     return BellOperator(
-        t.n,
-        np.array([t.x_mask], dtype=np.uint32),
-        np.array([t.z_mask], dtype=np.uint32),
-        np.array([t.sign], dtype=np.int8),
+        ts[0].n,
+        np.array([t.x_mask for t in ts], dtype=np.uint32),
+        np.array([t.z_mask for t in ts], dtype=np.uint32),
+        np.array([t.sign for t in ts], dtype=np.int8),
     )
 
 
 class TestEvaluateTerm:
     def test_sign_only(self):
-        assert bell_value(one_term(PauliString.from_text("-XXX")), ALL_PLUS) == -1
+        assert bell_value(term_list([PauliString.from_text("-XXX")]), ALL_PLUS) == -1
 
     def test_single_flip(self):
-        assert bell_value(one_term(PauliString.from_text("+YY1")), Assignment(0, 0b01, 0)) == -1
+        assert bell_value(term_list([PauliString.from_text("+YY1")]), Assignment(0, 0b01, 0)) == -1
 
     def test_three_flips(self):
         t = PauliString.from_text("+XZZ")
         a = Assignment(0b001, 0, 0b110)
-        assert bell_value(one_term(t), a) == scalar_term_value(t, a) == -1
+        assert bell_value(term_list([t]), a) == scalar_term_value(t, a) == -1
 
     @given(st.data())
     @settings(max_examples=200)
@@ -89,7 +89,7 @@ class TestEvaluateTerm:
             data.draw(st.integers(0, full)),
             data.draw(st.integers(0, full)),
         )
-        assert bell_value(one_term(t), a) == scalar_term_value(t, a)
+        assert bell_value(term_list([t]), a) == scalar_term_value(t, a)
 
 
 class TestBellValue:
@@ -299,16 +299,6 @@ class TestDeterminism:
             assert operator_bound(b, pin_z=pin_z)[:2] == (copies, ALL_PLUS)
 
 
-def term_list(texts: list[str]) -> BellOperator:
-    ts = [PauliString.from_text(text) for text in texts]
-    return BellOperator(
-        ts[0].n,
-        np.array([t.x_mask for t in ts], dtype=np.uint32),
-        np.array([t.z_mask for t in ts], dtype=np.uint32),
-        np.array([t.sign for t in ts], dtype=np.int8),
-    )
-
-
 def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
     """Up to 12 random terms, each term's Y letters fixed by its X mask so Z can be pinned.
 
@@ -329,7 +319,7 @@ def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
         letters = "".join("Y" if y >> q & 1 else "X" if x >> q & 1 else
                           "Z" if z_letters >> q & 1 else "1" for q in range(n))
         texts.append(rng.choice("+-") + letters)
-    return term_list(texts)
+    return term_list([PauliString.from_text(text) for text in texts])
 
 
 class TestTwinRows:
@@ -342,8 +332,15 @@ class TestTwinRows:
         # in the upper half for the smallest maximizer (0, 1, 0)
         if batches == "small":
             small_batches(monkeypatch)
-        c, argmax, _ = operator_bound(term_list(["+1", "-Y"]), pin_z=pin_z)
+        b = term_list([PauliString.from_text("+1"), PauliString.from_text("-Y")])
+        c, argmax, _ = operator_bound(b, pin_z=pin_z)
         assert (c, argmax) == (2, Assignment(0, 1, 0))
+
+    @pytest.mark.parametrize("pin_z", [True, False])
+    def test_zero_qubits_has_no_twin(self, pin_z):
+        # with n = 0 the single row e = 0 is its own twin, so nothing is halved
+        b = term_list([PauliString(0, 0, 0, sign) for sign in (-1, -1, 1, -1)])
+        assert operator_bound(b, pin_z=pin_z) == (2, ALL_PLUS, 1)
 
     @pytest.mark.parametrize("pin_z", [True, False])
     def test_reference_scan_on_random_term_lists(self, monkeypatch, pin_z):

@@ -1,4 +1,4 @@
-import json
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,18 +26,12 @@ def test_chain_growth_demo_prints_chain_bounds():
         assert Fraction(bound) == chain_bound(int(length))
 
 
-def test_bench_rows_records_one_small_row(tmp_path):
+def test_bench_rows_times_one_small_row():
+    spec = importlib.util.spec_from_file_location("bench_rows", ROOT / "scripts" / "bench_rows.py")
+    bench_rows = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_rows)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_rows.py"), "--label", "smoke",
-         "--rows", "bound-rc-10", "--repeats", "1", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert report["src_lines"] > 0
-    row = report["rows"]["bound-rc-10"]
-    assert list(report["rows"]) == ["bound-rc-10"]
-    assert row["argv"] == ["graphbell", "bound", "--family", "rc", "--n", "10"]
-    assert row["exit_codes"] == [0]
-    assert row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+    wall, rss, code = bench_rows.run_once(bench_rows.ROWS["bound-rc-10"], env)
+    assert code == 0
+    assert wall > 0 and rss > 0
+    assert bench_rows.src_lines() > 0
