@@ -5,7 +5,9 @@
 
 Each run of a row is one `graphbell` command in a fresh Python process that
 imports the package from this checkout's ``src/``, which is how a
-command-line user meets it. A row's ``wall_s`` and ``peak_rss_mb`` are the
+command-line user meets it. The ``tier1`` row runs the Tier-1 test command,
+``python -m pytest -q --continue-on-collection-errors``, from the root of the
+checkout in the same way. A row's ``wall_s`` and ``peak_rss_mb`` are the
 medians over 3 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
@@ -28,23 +30,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 
+MODULES = {"graphbell": "graphbell.cli", "pytest": "pytest"}  # program -> module run by -m
+
 ROWS = {
-    "bound-rc-10": ["bound", "--family", "rc", "--n", "10"],
-    "bound-rc-12": ["bound", "--family", "rc", "--n", "12"],
-    "bound-rc-14": ["bound", "--family", "rc", "--n", "14"],
-    "table-check": ["table", "--check"],
-    "verify-rc-12": ["verify", "--family", "rc", "--n", "12"],
-    "verify-lc-9": ["verify", "--family", "lc", "--n", "9"],
-    "compose-lc-30": ["compose", "--family", "lc", "--n", "30"],
-    "compose-fc-20": ["compose", "--family", "fc", "--n", "20"],
-    "compose-rc-31": ["compose", "--family", "rc", "--n", "31"],
+    "bound-rc-10": ["graphbell", "bound", "--family", "rc", "--n", "10"],
+    "bound-rc-12": ["graphbell", "bound", "--family", "rc", "--n", "12"],
+    "bound-rc-14": ["graphbell", "bound", "--family", "rc", "--n", "14"],
+    "table-check": ["graphbell", "table", "--check"],
+    "verify-rc-12": ["graphbell", "verify", "--family", "rc", "--n", "12"],
+    "verify-lc-9": ["graphbell", "verify", "--family", "lc", "--n", "9"],
+    "compose-lc-30": ["graphbell", "compose", "--family", "lc", "--n", "30"],
+    "compose-fc-20": ["graphbell", "compose", "--family", "fc", "--n", "20"],
+    "compose-rc-31": ["graphbell", "compose", "--family", "rc", "--n", "31"],
+    "tier1": ["pytest", "-q", "--continue-on-collection-errors"],
 }
 
 
 def run_once(argv: list[str], env: dict) -> tuple[float, float, int]:
-    """(wall seconds, peak RSS in MB, exit code) of one fresh `graphbell` process."""
+    """(wall seconds, peak RSS in MB, exit code) of one row's fresh process."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "graphbell.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", MODULES[argv[0]], *argv[1:]], env=env, cwd=ROOT,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
@@ -75,7 +80,7 @@ def main() -> int:
         runs = [run_once(argv, env) for _ in range(REPEATS)]
         walls, rss, codes = zip(*runs)
         failed |= any(codes)
-        rows[name] = {"argv": ["graphbell", *argv],
+        rows[name] = {"argv": argv,
                       "wall_s": round(statistics.median(walls), 3),
                       "peak_rss_mb": round(statistics.median(rss), 1),
                       "runs_wall_s": [round(w, 3) for w in walls],

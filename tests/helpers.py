@@ -2,8 +2,9 @@
 
 The dense Pauli matrices here are built independently of the package's
 oracle module, the scalar Pauli product independently of the closed-form
-``bell_terms``, and the LHV scan independently of its transform engine, so
-that tests have a second route to the same answer.
+``bell_terms``, the LHV scan independently of its transform engine, and the
+term-by-term <B> independently of the oracle's batched expectation, so that
+tests have a second route to the same answer.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ import hypothesis.strategies as st
 import numpy as np
 
 from graphbell import (
+    BellOperator,
     Graph,
     InvalidGraphError,
     PauliString,
+    bell_terms,
     classical_bound,
     from_edges,
     generator,
     is_connected,
+    statevector,
 )
+from graphbell.oracle import apply_pauli
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,6 +47,25 @@ def dense_pauli(letters: str, sign: int = 1) -> np.ndarray:
 def dense_of(p) -> np.ndarray:
     """Dense matrix of a package PauliString via its letter rendering."""
     return dense_pauli(p.to_text()[1:], p.sign)
+
+
+def term_list(ts: list[PauliString]) -> BellOperator:
+    """Operator holding the terms ts, in order."""
+    return BellOperator(
+        ts[0].n,
+        np.array([t.x_mask for t in ts], dtype=np.uint32),
+        np.array([t.z_mask for t in ts], dtype=np.uint32),
+        np.array([t.sign for t in ts], dtype=np.int8),
+    )
+
+
+def reference_bell_value(g: Graph) -> float:
+    """<B> one term at a time: apply each Pauli string to the dense state, then np.vdot."""
+    state = statevector(g)
+    total = 0.0
+    for term in bell_terms(g):
+        total += float(np.real(np.vdot(state.amplitudes, apply_pauli(term, state.amplitudes))))
+    return total
 
 
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:

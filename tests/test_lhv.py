@@ -30,6 +30,7 @@ from helpers import (
     graphs,
     random_connected_graph,
     reference_scan,
+    term_list,
 )
 
 FC3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
@@ -49,16 +50,6 @@ def scalar_term_value(t: PauliString, a: Assignment) -> int:
         elif letter == "Z" and a.neg_z >> k & 1:
             value = -value
     return value
-
-
-def term_list(ts: list[PauliString]) -> BellOperator:
-    """Operator holding the terms ts, in order."""
-    return BellOperator(
-        ts[0].n,
-        np.array([t.x_mask for t in ts], dtype=np.uint32),
-        np.array([t.z_mask for t in ts], dtype=np.uint32),
-        np.array([t.sign for t in ts], dtype=np.int8),
-    )
 
 
 class TestEvaluateTerm:

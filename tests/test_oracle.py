@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbell import (
+    BellOperator,
     CapExceededError,
     GraphFamily,
     InvalidGraphError,
@@ -18,9 +21,17 @@ from graphbell import (
     schmidt_profile,
     statevector,
 )
-from graphbell.oracle import apply_pauli, operator_matrix
+from graphbell import oracle
+from graphbell.oracle import _expectation, apply_pauli, operator_matrix
 from graphbell.stabilizer import PauliString, apply_permutation
-from helpers import connected_graphs, dense_of, pauli_strings
+from helpers import (
+    connected_graphs,
+    dense_of,
+    pauli_strings,
+    random_connected_graph,
+    reference_bell_value,
+    term_list,
+)
 
 SINGLE = from_edges(1, [])
 PAIR = from_edges(2, [(0, 1)])
@@ -109,6 +120,73 @@ class TestQuantumBellValue:
     @settings(max_examples=30, deadline=None)
     def test_classical_bound_strictly_below_quantum(self, g):
         assert classical_bound(g).c < quantum_bell_value(g) - 0.5
+
+
+def random_state(seed: int, n: int) -> np.ndarray:
+    """Normalised complex amplitudes with no structure, from a seed."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def terms_with_odd_y(draw):
+    """Random n <= 5 term list that always holds an all-Y term and a one-Y term."""
+    n = draw(st.integers(1, 5))
+    full = (1 << n) - 1
+    one_y = 1 << draw(st.integers(0, n - 1))
+    sign = st.sampled_from((1, -1))
+    ts = draw(st.lists(pauli_strings(min_n=n, max_n=n), max_size=12))
+    ts += [PauliString(n, full, full, draw(sign)), PauliString(n, one_y, one_y, draw(sign))]
+    return draw(st.permutations(ts))
+
+
+class TestBatchedExpectation:
+    @given(terms_with_odd_y(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_matrices(self, ts, seed):
+        amps = random_state(seed, ts[0].n)
+        expected = sum(float(np.real(np.vdot(amps, dense_of(t) @ amps))) for t in ts)
+        assert _expectation(term_list(ts), amps) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("fam", GraphFamily)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_families_match_term_by_term_reference(self, fam, n):
+        g = build_family(fam, n)
+        assert quantum_bell_value(g) == pytest.approx(reference_bell_value(g), abs=1e-9)
+
+    def test_seeded_graphs_match_term_by_term_reference(self):
+        rng = random.Random(1111)
+        for g in [SINGLE] + [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(50)]:
+            assert quantum_bell_value(g) == pytest.approx(reference_bell_value(g), abs=1e-9)
+
+    @pytest.mark.parametrize("terms_per_block", [1, 3])
+    def test_block_size_does_not_change_value(self, monkeypatch, terms_per_block):
+        terms = apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)), 2, "Z1XY")
+        amps = random_state(5, 5)
+        whole = _expectation(terms, amps)
+        monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
+        assert _expectation(terms, amps) == pytest.approx(whole, abs=1e-12)
+
+    @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 6),
+                                        (GraphFamily.RING_CLUSTER, 12)])
+    def test_one_flipped_sign_moves_value_by_two(self, monkeypatch, fam, n):
+        def one_sign_flipped(g):
+            b = bell_terms(g)
+            signs = b.signs.copy()
+            signs[random.Random(n).randrange(len(b))] *= -1
+            return BellOperator(b.n, b.x_masks, b.z_masks, signs)
+
+        monkeypatch.setattr(oracle, "bell_terms", one_sign_flipped)
+        assert quantum_bell_value(build_family(fam, n)) == pytest.approx((1 << n) - 2, abs=1e-9)
+
+    def test_cap_refused_before_terms_are_built(self, monkeypatch):
+        def never(g):
+            raise AssertionError("bell_terms called above the dense cap")
+
+        monkeypatch.setattr(oracle, "bell_terms", never)
+        with pytest.raises(CapExceededError):
+            quantum_bell_value(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
 
 class TestProjectorIdentity:
