@@ -18,6 +18,16 @@ number of Y letters, as every stabilizer element of a graph has, row e and
 row e ^ 1...1 are equal, so only the rows with e < 2^(n-1) are transformed;
 the twin of (neg_x, neg_y, neg_z) is (neg_x, neg_y ^ 1...1, neg_z).
 
+A batch holds the rows of consecutive e laid out [key, e], e fastest, and
+the butterfly level of key bit k pairs runs of rows * 2^k cells. numpy's
+ufunc loop copies a strided operand through its 8192-element buffer when
+the operand's contiguous run is shorter than half that buffer, at several
+times the cost per element. So a batch is transformed in two phases: the
+upper half of the key bits while they are the outer axis, then one
+transposed copy that swaps the two halves of the key, then the lower half,
+now outer. No butterfly run is shorter than rows * 2^(width // 2), and a
+maximum's position is read back by swapping the key halves again.
+
 The Z observables can be pinned to +1 without changing the maximum for
 graph-form operators (flipping Z on one qubit is absorbed by flipping Y
 there plus X and Y on its neighbors), which cuts the space from 8^n to 4^n.
@@ -44,7 +54,10 @@ from .stabilizer import BellOperator, bell_terms
 
 SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14 pinned and 8^9 unpinned
 _BATCH_BYTES = 1 << 18  # one batch of rows stays in a core's cache
-_MIN_BATCH_ROWS = 16  # a power of two; numpy loops are slow on shorter runs
+# a power of two: a batch has this many rows or more when the search has them, and they are
+# the contiguous run of its chi multiply and phase copy; numpy's loop buffers runs that short,
+# which is why the butterflies run in two phases, on runs of rows * 2^(width // 2) or more
+_MIN_BATCH_ROWS = 16
 _SIGNS = np.array([1, -1], dtype=np.int8)
 
 METHOD_EXHAUSTIVE = "exhaustive"
@@ -149,45 +162,69 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     dtype = np.int16 if len(b) < 1 << 15 else np.int32
     merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
-    # with e fastest, so every butterfly run is at least _MIN_BATCH_ROWS long
+    # with e fastest (see _MIN_BATCH_ROWS)
     fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - width
     row_bits = min(n - half, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
-    # the rows of e < rows, laid out [e, key] and built by doubling over the
-    # bits of e; batch `base` is these rows times (-1)^<y(key), base>
-    by_e = np.empty((rows, size), dtype=dtype)
+    bufs = (np.empty(size * rows, dtype=dtype), np.empty(size * rows, dtype=dtype))
+    # the rows of e < rows, built by doubling over the bits of e as [e, key]
+    # in a spare buffer and copied once to [key, e]; batch `base` is these
+    # rows times (-1)^<y(key), base>, a broadcast along e
+    by_e = bufs[1].reshape(rows, size)
     by_e[0] = merged
     bits = np.arange(row_bits, dtype=y_of_key.dtype)[:, None]
     flips = _SIGNS.take((y_of_key >> bits) & 1)
     for k in range(row_bits):
         np.multiply(by_e[: 1 << k], flips[k], out=by_e[1 << k : 2 << k])
-    batch = np.empty((size, rows), dtype=dtype)
-    bufs = (np.empty(size * rows, dtype=dtype), batch.reshape(-1))
-    # each butterfly level reads one buffer and writes the other
-    levels = []
-    for level in range(width):
-        src = bufs[(level + 1) % 2].reshape(-1, 2, rows << level)
-        dst = bufs[level % 2].reshape(-1, 2, rows << level)
-        levels.append((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
-    out = bufs[(width - 1) % 2]
+    base_rows = by_e.T.copy()
+    signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
+    chi = np.empty(size, dtype=dtype)  # refilled in place: a new one per batch cost 3 MB RSS at 8^9
+    batch = bufs[0].reshape(size, rows)
+
+    def butterflies(levels, first):
+        # level k adds and subtracts cells rows << k apart; each level reads
+        # one buffer and writes the other, bufs[first] being read first
+        views = []
+        for step, k in enumerate(levels):
+            src = bufs[(first + step) % 2].reshape(-1, 2, rows << k)
+            dst = bufs[(first + step + 1) % 2].reshape(-1, 2, rows << k)
+            views.append((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
+        return views
+
+    # key = key_hi << lo | key_lo: phase A transforms the hi bits of
+    # [key_hi, key_lo, e], one copy makes it [key_lo, key_hi, e], and phase B
+    # transforms the lo bits, so no butterfly run is shorter than rows << lo
+    lo = width // 2
+    hi = width - lo
+    phase_a = butterflies(range(lo, width), 0)
+    halves = bufs[hi % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2)
+    swapped = bufs[(hi + 1) % 2].reshape(1 << lo, 1 << hi, rows)
+    phase_b = butterflies(range(hi, width), hi + 1)
+    out = bufs[(width + 1) % 2]
     z_bits = width - n
     best, best_key = -1, 0
     for base in range(0, 1 << (n - half), rows):
         if base:
-            chi = _SIGNS.take(np.bitwise_count(y_of_key & base) & 1)
-            np.multiply(by_e.T, chi[:, None], out=batch)
+            signs.take(np.bitwise_count(y_of_key & base) & 1, out=chi)
+            np.multiply(base_rows, chi[:, None], out=batch)
         else:
-            np.copyto(batch, by_e.T)
-        for s0, s1, d0, d1 in levels:
+            np.copyto(batch, base_rows)
+        for s0, s1, d0, d1 in phase_a:
+            np.add(s0, s1, out=d0)
+            np.subtract(s0, s1, out=d1)
+        np.copyto(swapped, halves)
+        for s0, s1, d0, d1 in phase_b:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
         np.abs(out, out=out)
         m = int(out[out.argmax()])
         if m < best:
             continue
-        # order the maxima of this batch by (neg_x, neg_y, neg_z)
+        # order the maxima of this batch by (neg_x, neg_y, neg_z); a
+        # position's key halves sit swapped, as [key_lo, key_hi, e]
         pos = (out == m).nonzero()[0]
         col = pos >> row_bits
+        col = (col & ((1 << hi) - 1)) << lo | col >> hi
         neg_x = col >> z_bits
         neg_z = col & ((1 << z_bits) - 1)
         neg_y = (base + (pos & (rows - 1))) ^ neg_x ^ neg_z

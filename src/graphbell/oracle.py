@@ -56,14 +56,19 @@ def _check_dense_cap(n: int) -> None:
 
 
 def statevector(g: Graph) -> StateVector:
-    """Graph state: uniform superposition with a -1 phase per doubly-set edge."""
+    """Graph state: uniform superposition with a -1 phase per doubly-set edge.
+
+    The edges inside idx number sum_v bit_v(idx) popcount(idx & lower(v)),
+    where lower(v) masks the neighbors of v below v: one pass per vertex.
+    """
     _check_dense_cap(g.n)
     size = 1 << g.n
     amps = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     idx = np.arange(size)
-    for i, j in g.edges():
-        both = ((idx >> i) & 1) & ((idx >> j) & 1)
-        amps[both == 1] *= -1.0
+    parity = np.zeros(size, dtype=idx.dtype)
+    for v, nb in enumerate(g.adj):
+        parity ^= (idx >> v) & np.bitwise_count(idx & (nb & ((1 << v) - 1)))
+    amps[(parity & 1) == 1] *= -1.0
     return StateVector(g.n, amps)
 
 

@@ -2,9 +2,10 @@
 
 The dense Pauli matrices here are built independently of the package's
 oracle module, the scalar Pauli product independently of the closed-form
-``bell_terms``, the LHV scan independently of its transform engine, and the
-term-by-term <B> independently of the oracle's batched expectation, so that
-tests have a second route to the same answer.
+``bell_terms``, the LHV scan independently of its transform engine, the
+term-by-term <B> independently of the oracle's batched expectation, and the
+edge-by-edge graph state independently of the oracle's vertex passes, so
+that tests have a second route to the same answer.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ def term_list(ts: list[PauliString]) -> BellOperator:
         np.array([t.z_mask for t in ts], dtype=np.uint32),
         np.array([t.sign for t in ts], dtype=np.int8),
     )
+
+
+def reference_statevector(g: Graph) -> np.ndarray:
+    """Graph-state amplitudes one edge at a time: negate every index holding both ends."""
+    size = 1 << g.n
+    amps = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
+    idx = np.arange(size)
+    for i, j in g.edges():
+        amps[((idx >> i) & (idx >> j) & 1) == 1] *= -1.0
+    return amps
 
 
 def reference_bell_value(g: Graph) -> float:

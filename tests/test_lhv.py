@@ -357,6 +357,44 @@ class TestTwinRows:
             assert not classical_bound(g).argmax.neg_y >> (g.n - 1) & 1
 
 
+class TestBatchLayout:
+    """The two-phase transform (hi key bits, one transposed copy, lo key bits) in every batch shape.
+
+    The pinned width is n and the unpinned one 2n, so the pinned searches
+    of odd n have hi = lo + 1, n = 1 is width 1 and n = 0 is width 0.
+    """
+
+    @pytest.mark.parametrize("pin_z", [True, False])
+    @pytest.mark.parametrize("batch_bytes, min_rows", [
+        (1 << 18, 16),  # the defaults: every search here is one batch
+        (1 << 8, 4),  # 128 cells: one batch up to width 3, 4 rows a batch from width 5
+        (1, 2),  # 2 rows a batch
+        (1, 1),  # 1 row a batch
+    ])
+    def test_reference_scan_in_every_batch_shape(self, monkeypatch, pin_z, batch_bytes, min_rows):
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", min_rows)
+        rng = random.Random(batch_bytes * 31 + min_rows * 2 + pin_z)
+        zero = term_list([PauliString(0, 0, 0, sign) for sign in (-1, 1, -1, -1)])
+        assert operator_bound(zero, pin_z=pin_z) == (2, ALL_PLUS, 1)
+        for n in range(1, 8 if pin_z else 5):
+            for k in range(8):
+                b = random_term_list(rng, n, odd_y=k % 2 == 1)
+                c, argmax, _ = operator_bound(b, pin_z=pin_z)
+                assert (c, counter_index(argmax, n, pin_z)) == reference_scan(b, pin_z=pin_z)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_graphs_in_many_batches(self, monkeypatch, n):
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 8)
+        monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
+        rng = random.Random(n)
+        for g in (random_connected_graph(rng, n), graph_from_edge_mask(n, rng.randrange(1 << n)),
+                  build_family(GraphFamily.RING_CLUSTER, n)):
+            b = bell_terms(g)
+            c, argmax, _ = operator_bound(b, pin_z=True)
+            assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
+
+
 class TestPermutation:
     def test_identity_permutation(self):
         b = bell_terms(FC3)

@@ -27,9 +27,11 @@ from graphbell.stabilizer import PauliString, apply_permutation
 from helpers import (
     connected_graphs,
     dense_of,
+    graph_from_edge_mask,
     pauli_strings,
     random_connected_graph,
     reference_bell_value,
+    reference_statevector,
     term_list,
 )
 
@@ -57,6 +59,19 @@ class TestStatevector:
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
             statevector(build_family(GraphFamily.LINEAR_CLUSTER, 13))
+
+    def test_vertex_passes_match_edge_by_edge(self):
+        # real parts bit for bit; the imaginary parts are zeros, and the
+        # edge-by-edge negations leave some of them as -0.0
+        rng = random.Random(1318)
+        gs = [SINGLE, from_edges(3, [])]
+        gs += [build_family(fam, n) for fam in GraphFamily for n in range(2, 13)]
+        gs += [graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+               for n in range(2, 13) for _ in range(3)]
+        for g in gs:
+            amps, ref = statevector(g).amplitudes, reference_statevector(g)
+            assert amps.real.tobytes() == ref.real.tobytes()
+            assert np.array_equal(amps, ref)
 
 
 class TestPauliApplication:
