@@ -201,7 +201,7 @@ class _Composer:
         # u's side of each bridge (u, v) of g, u < v. Every edge leaving a piece
         # is a bridge of g and no path crosses a bridge and comes back, so a
         # piece's bridges are g's inside it, with sides cut to the piece.
-        self.sides = {e: reach(without_edge(g.adj, *e), e[0], g.vertex_mask) for e in bridges(g)}
+        self.sides = {e: reach(without_edge(g.adj, *e), e[0]) for e in bridges(g)}
 
     def run(self, piece: int) -> DerivationStep:
         if piece in self.memo:

@@ -203,8 +203,8 @@ def local_complement(g: Graph, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def reach(adj, start: int, within: int) -> int:
-    """Mask of the vertices reachable from ``start`` through vertices of ``within``.
+def reach(adj, start: int) -> int:
+    """Mask of the vertices reachable from ``start``.
 
     ``adj`` is any per-vertex sequence of neighbor masks, so callers can pass
     an adjacency with edges cut out of it.
@@ -214,7 +214,7 @@ def reach(adj, start: int, within: int) -> int:
         nxt = 0
         for i in iter_bits(frontier):
             nxt |= adj[i]
-        frontier = nxt & within & ~comp
+        frontier = nxt & ~comp
         comp |= frontier
     return comp
 
@@ -233,7 +233,7 @@ def connected_components(g: Graph) -> list[int]:
     comps = []
     for start in range(g.n):
         if not seen >> start & 1:
-            comps.append(reach(g.adj, start, g.vertex_mask))
+            comps.append(reach(g.adj, start))
             seen |= comps[-1]
     return comps
 
@@ -254,7 +254,7 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
     """
     return [
         (u, v) for u, v in g.edges()
-        if not reach(without_edge(g.adj, u, v), u, g.vertex_mask) >> v & 1
+        if not reach(without_edge(g.adj, u, v), u) >> v & 1
     ]
 
 

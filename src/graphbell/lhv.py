@@ -99,11 +99,12 @@ class BoundReport:
 
 def bell_value(b: BellOperator, a: Assignment) -> int:
     """Sum of all term values under an assignment."""
-    xq, yq, zq = b.letter_class_masks()
-    flips = (
-        np.bitwise_count(xq & a.neg_x)
-        + np.bitwise_count(yq & a.neg_y)
-        + np.bitwise_count(zq & a.neg_z)
+    x = b.x_masks.astype(np.int64)
+    z = b.z_masks.astype(np.int64)
+    flips = (  # X, Y and Z letters are x & ~z, x & z and z & ~x
+        np.bitwise_count(x & ~z & a.neg_x)
+        + np.bitwise_count(x & z & a.neg_y)
+        + np.bitwise_count(z & ~x & a.neg_z)
     )
     values = np.where((flips & 1) == 0, b.signs, -b.signs)
     return int(values.sum(dtype=np.int64))
@@ -146,16 +147,11 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     size = 1 << width
     x, z = b.x_masks, b.z_masks
     y = x & z
-    if pin_z:
-        keys = x.astype(np.intp)
-        y_of_key = np.zeros(size, dtype=y.dtype)
-        y_of_key[keys] = y
-        if not (y_of_key[keys] == y).all():
-            raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
-    else:
-        keys = ((x << n) | z).astype(np.intp)
-        all_keys = np.arange(size, dtype=np.uint32)
-        y_of_key = (all_keys >> n) & all_keys
+    keys = (x if pin_z else (x << n) | z).astype(np.intp)
+    y_of_key = np.zeros(size, dtype=y.dtype)  # a key no term has merges to 0, whatever its y
+    y_of_key[keys] = y
+    if not (y_of_key[keys] == y).all():  # only a pinned key can hold two different y
+        raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
     full = (1 << n) - 1
     half = n > 0 and not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
     twin = full if half else 0

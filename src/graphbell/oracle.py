@@ -1,10 +1,11 @@
 """Dense statevector oracle: independent verification of the stabilizer algebra.
 
-Everything here is direct: build the graph state as 4096-or-fewer complex
-amplitudes, apply Pauli strings by bit-indexed actions, evaluate <B> as a sum
-of term expectations taken a block of terms at a time, and check the
-eigenvalue equations, the projector identity and Schmidt spectra numerically.
-The oracle exists for trust, not scale; the dense cap keeps calls sub-second.
+Everything here is direct, on amplitude arrays and term-mask arrays: build the
+graph state (4096 or fewer amplitudes) by doubling over the vertices, act with
+a term as a signed gather over flipped indices, evaluate <B> a block of terms
+at a time, and check the eigenvalue equations, the projector identity and
+Schmidt spectra numerically. The oracle exists for trust, not scale; the
+dense cap keeps calls sub-second.
 
 Qubit ordering is little-endian throughout: qubit 0 is the least significant
 bit of the amplitude index.
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, InvalidGraphError
-from .graph import Graph, iter_bits
-from .stabilizer import BellOperator, PauliString, bell_terms, generator
+from .graph import Graph
+from .stabilizer import BellOperator, bell_terms
 
 DENSE_CAP = 12
 SCHMIDT_RANK_TOLERANCE = 1e-10
@@ -50,49 +51,36 @@ class SchmidtProfile:
     a0_sq: float
 
 
-def _check_dense_cap(n: int) -> None:
-    if n > DENSE_CAP:
-        raise CapExceededError(f"dense oracle capped at {DENSE_CAP} qubits, got {n}")
-
-
 def statevector(g: Graph) -> StateVector:
     """Graph state: uniform superposition with a -1 phase per doubly-set edge.
 
-    The edges inside idx number sum_v bit_v(idx) popcount(idx & lower(v)),
-    where lower(v) masks the neighbors of v below v: one pass per vertex.
+    Built by doubling over the vertices, as ``bell_terms`` builds e(S): for
+    idx < 2^v, index idx + 2^v has the sign of idx times
+    (-1)^popcount(idx & N(v)), the edges from v into the bits of idx.
     """
-    _check_dense_cap(g.n)
+    if g.n > DENSE_CAP:
+        raise CapExceededError(f"dense oracle capped at {DENSE_CAP} qubits, got {g.n}")
     size = 1 << g.n
-    amps = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
+    amps = np.empty(size)
+    amps[0] = 1.0 / np.sqrt(size)
     idx = np.arange(size)
-    parity = np.zeros(size, dtype=idx.dtype)
     for v, nb in enumerate(g.adj):
-        parity ^= (idx >> v) & np.bitwise_count(idx & (nb & ((1 << v) - 1)))
-    amps[(parity & 1) == 1] *= -1.0
-    return StateVector(g.n, amps)
-
-
-def _pauli_coefficients(p: PauliString, idx: np.ndarray) -> np.ndarray:
-    """Phase of the bit-indexed action P|idx> = coeff[idx] |idx ^ x_mask>."""
-    z_parity = np.bitwise_count(idx & p.z_mask) & 1
-    return p.sign * (1j ** (p.x_mask & p.z_mask).bit_count()) * np.where(z_parity == 1, -1.0, 1.0)
-
-
-def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string by bit-indexed action (no dense matrices)."""
-    idx = np.arange(amplitudes.shape[0])
-    out = np.empty_like(amplitudes)
-    out[idx ^ p.x_mask] = _pauli_coefficients(p, idx) * amplitudes
-    return out
+        low = amps[: 1 << v]
+        amps[1 << v : 2 << v] = np.where(np.bitwise_count(idx[: 1 << v] & nb) & 1, -low, low)
+    return StateVector(g.n, amps.astype(complex))
 
 
 def check_stabilized(g: Graph) -> float:
-    """Max residual norm of (g_i - 1) applied to the graph state, over all generators."""
-    state = statevector(g)
+    """Max residual norm of (g_i - 1) applied to the graph state, over all generators.
+
+    g_i = X_i Z_N(i) maps |idx> to (-1)^popcount(idx & N(i)) |idx ^ 2^i>.
+    """
+    psi = statevector(g).amplitudes
+    idx = np.arange(psi.size)
     worst = 0.0
-    for i in range(g.n):
-        residual = apply_pauli(generator(g, i), state.amplitudes) - state.amplitudes
-        worst = max(worst, float(np.linalg.norm(residual)))
+    for i, nb in enumerate(g.adj):
+        moved = np.where(np.bitwise_count(idx & nb) & 1, -psi, psi)[idx ^ (1 << i)]
+        worst = max(worst, float(np.linalg.norm(moved - psi)))
     return worst
 
 
@@ -130,17 +118,21 @@ def quantum_bell_value(g: Graph) -> float:
 
 
 def operator_matrix(b: BellOperator) -> np.ndarray:
-    """Dense matrix of a term-list operator, scattered term by term in O(4^n)."""
+    """Dense matrix of a term-list operator, scattered term by term in O(4^n).
+
+    Term (x, z, sign) maps |idx> to sign i^|x&z| (-1)^popcount(idx & z) |idx ^ x>.
+    """
     idx = np.arange(1 << b.n)
     total = np.zeros((idx.size, idx.size), dtype=complex)
-    for term in b:
-        total[idx ^ term.x_mask, idx] += _pauli_coefficients(term, idx)
+    x, z = b.x_masks.astype(np.intp), b.z_masks.astype(np.intp)
+    weights = b.signs * _PHASES[np.bitwise_count(x & z) & 3]
+    for xm, zm, w in zip(x, z, weights):
+        total[idx ^ xm, idx] += w * np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
     return total
 
 
 def projector_identity_residual(g: Graph) -> float:
     """Entrywise residual of (sum of all stabilizer elements) - 2^n |G><G|."""
-    _check_dense_cap(g.n)
     state = statevector(g)
     projector = np.outer(state.amplitudes, state.amplitudes.conj())
     diff = operator_matrix(bell_terms(g)) - (1 << g.n) * projector
@@ -151,23 +143,17 @@ def schmidt_profile(g: Graph, bipartition: int) -> SchmidtProfile:
     """Schmidt rank and largest squared coefficient of the graph state.
 
     ``bipartition`` is the vertex mask of one side; it must be proper and
-    nonempty. Singular values below the rank tolerance count as zero.
+    nonempty. Singular values below the rank tolerance count as zero. The
+    amplitudes reshaped to (2,)*n hold qubit n-1-j on axis j, so taking each
+    side's axes in order packs its qubits into the row (column) index with
+    qubit 0 lowest.
     """
-    _check_dense_cap(g.n)
+    state = statevector(g)
     if bipartition == 0 or bipartition & ~g.vertex_mask or bipartition == g.vertex_mask:
         raise InvalidGraphError("bipartition must be a proper nonempty vertex subset")
-    state = statevector(g)
-    rows = list(iter_bits(bipartition))
-    cols = list(iter_bits(g.vertex_mask & ~bipartition))
-    idx = np.arange(1 << g.n)
-    row_idx = np.zeros_like(idx)
-    for rank, bit in enumerate(rows):
-        row_idx |= ((idx >> bit) & 1) << rank
-    col_idx = np.zeros_like(idx)
-    for rank, bit in enumerate(cols):
-        col_idx |= ((idx >> bit) & 1) << rank
-    matrix = np.zeros((1 << len(rows), 1 << len(cols)), dtype=complex)
-    matrix[row_idx, col_idx] = state.amplitudes
-    singular = np.linalg.svd(matrix, compute_uv=False)
+    in_a = [bipartition >> (g.n - 1 - j) & 1 for j in range(g.n)]
+    axes = [j for j in range(g.n) if in_a[j]] + [j for j in range(g.n) if not in_a[j]]
+    matrix = state.amplitudes.reshape((2,) * g.n).transpose(axes)
+    singular = np.linalg.svd(matrix.reshape(1 << sum(in_a), -1), compute_uv=False)
     k = int(np.sum(singular > SCHMIDT_RANK_TOLERANCE))
     return SchmidtProfile(bipartition, k, float(singular[0] ** 2))

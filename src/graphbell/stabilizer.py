@@ -98,12 +98,6 @@ class BellOperator:
     def __iter__(self):
         return (self.term(j) for j in range(len(self)))
 
-    def letter_class_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-term (X-letter, Y-letter, Z-letter) qubit masks as int64 arrays."""
-        x = self.x_masks.astype(np.int64)
-        z = self.z_masks.astype(np.int64)
-        return x & ~z, x & z, z & ~x
-
 
 def bell_terms(g: Graph) -> BellOperator:
     """Construct the full stabilizer-sum operator (all 2^n signed terms).
@@ -134,25 +128,21 @@ def bell_terms(g: Graph) -> BellOperator:
     return BellOperator(g.n, x, z, signs)
 
 
-def apply_permutation(b: BellOperator, qubit: int, perm: dict[str, str] | str) -> BellOperator:
+def apply_permutation(b: BellOperator, qubit: int, perm: str) -> BellOperator:
     """Replace the letter on one qubit of every term by its image under a permutation.
 
-    ``perm`` maps each of '1', 'X', 'Y', 'Z' to a distinct letter, given as a
-    dict or as a 4-character string listing the images of '1XYZ' in order.
-    Signs are preserved. The result is a plain term list; it need not be a
-    stabilizer group.
+    ``perm`` is a 4-character string listing the images of '1', 'X', 'Y', 'Z'
+    in that order, each letter once. Signs are preserved. The result is a
+    plain term list; it need not be a stabilizer group.
     """
-    if isinstance(perm, str):
-        if len(perm) != 4:
-            raise ValueError("permutation string must list the images of '1XYZ'")
-        perm = dict(zip("1XYZ", perm))
-    if sorted(perm) != sorted("1XYZ") or sorted(perm.values()) != sorted("1XYZ"):
-        raise ValueError("permutation must be a bijection on {1, X, Y, Z}")
+    if not isinstance(perm, str) or sorted(perm) != sorted("1XYZ"):
+        raise ValueError("permutation must be a string listing the images of '1XYZ', "
+                         "a bijection on {1, X, Y, Z}")
     if not 0 <= qubit < b.n:
         raise ValueError(f"qubit {qubit} out of range")
     # code = x_bit + 2*z_bit indexes "1XZY", as in PauliString.letter
     lut = np.zeros(4, dtype=np.uint32)
-    for src, dst in perm.items():
+    for src, dst in zip("1XYZ", perm):
         lut["1XZY".index(src)] = "1XZY".index(dst)
     xb = (b.x_masks >> qubit) & 1
     zb = (b.z_masks >> qubit) & 1

@@ -3,9 +3,10 @@
 The dense Pauli matrices here are built independently of the package's
 oracle module, the scalar Pauli product independently of the closed-form
 ``bell_terms``, the LHV scan independently of its transform engine, the
-term-by-term <B> independently of the oracle's batched expectation, and the
-edge-by-edge graph state independently of the oracle's vertex passes, so
-that tests have a second route to the same answer.
+term-by-term <B> independently of the oracle's batched expectation, the
+edge-by-edge graph state independently of the oracle's doubling build, and
+the Schmidt rank from the GF(2) rank of a cut's adjacency block, so that
+tests have a second route to the same answer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from graphbell import (
     is_connected,
     statevector,
 )
-from graphbell.oracle import apply_pauli
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,6 +68,28 @@ def reference_statevector(g: Graph) -> np.ndarray:
     for i, j in g.edges():
         amps[((idx >> i) & (idx >> j) & 1) == 1] *= -1.0
     return amps
+
+
+def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
+    """Apply a Pauli string by bit-indexed action: P|idx> = coeff[idx] |idx ^ x_mask>."""
+    idx = np.arange(amplitudes.shape[0])
+    z_parity = np.bitwise_count(idx & p.z_mask) & 1
+    coeff = p.sign * (1j ** (p.x_mask & p.z_mask).bit_count()) * np.where(z_parity == 1, -1.0, 1.0)
+    out = np.empty_like(amplitudes)
+    out[idx ^ p.x_mask] = coeff * amplitudes
+    return out
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit-mask rows, by elimination on each row's lowest set bit."""
+    rank, rows = 0, list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
 
 
 def reference_bell_value(g: Graph) -> float:

@@ -179,7 +179,7 @@ def _check_splits(g, step) -> None:
         sub, labels = induced_subgraph(g, piece)
         assert step.bridge in [(labels[a], labels[b]) for a, b in bridges(sub)]
         u, v = step.bridge
-        assert _vertices(step.left) == reach(without_edge(g.adj, u, v), u, piece)
+        assert _vertices(step.left) == reach(without_edge(g.adj, u, v), u) & piece
     _check_splits(g, step.left)
     _check_splits(g, step.right)
 

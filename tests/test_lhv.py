@@ -409,6 +409,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             apply_permutation(bell_terms(FC3), 0, "11YZ")
 
+    @pytest.mark.parametrize("perm", [{"1": "X", "X": "1", "Y": "Y", "Z": "Z"}, list("X1YZ")])
+    def test_non_string_rejected(self, perm):
+        # a dict would validate as its keys "1XYZ" and map every letter to itself
+        with pytest.raises(ValueError):
+            apply_permutation(bell_terms(FC3), 0, perm)
+
     def test_star_center_permutation_matches_clique_value(self):
         for n in (4, 5, 6):
             star = build_family(GraphFamily.STAR, n)

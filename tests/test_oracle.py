@@ -22,11 +22,14 @@ from graphbell import (
     statevector,
 )
 from graphbell import oracle
-from graphbell.oracle import _expectation, apply_pauli, operator_matrix
+from graphbell.graph import iter_bits
+from graphbell.oracle import _expectation, operator_matrix
 from graphbell.stabilizer import PauliString, apply_permutation
 from helpers import (
+    apply_pauli,
     connected_graphs,
     dense_of,
+    gf2_rank,
     graph_from_edge_mask,
     pauli_strings,
     random_connected_graph,
@@ -60,7 +63,7 @@ class TestStatevector:
         with pytest.raises(CapExceededError):
             statevector(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
-    def test_vertex_passes_match_edge_by_edge(self):
+    def test_doubling_matches_edge_by_edge(self):
         # real parts bit for bit; the imaginary parts are zeros, and the
         # edge-by-edge negations leave some of them as -0.0
         rng = random.Random(1318)
@@ -249,3 +252,37 @@ class TestSchmidtProfile:
         cut = data.draw(st.integers(1, (1 << g.n) - 2))
         profile = schmidt_profile(g, cut)
         assert 1 / profile.k - 1e-12 <= profile.a0_sq <= 0.5 + 1e-12
+
+
+class TestSchmidtExact:
+    """Across a cut A, a graph state has Schmidt rank k = 2^(GF(2) rank of the
+    A-to-rest adjacency block) and k equal Schmidt coefficients (Hein, Eisert
+    and Briegel, PRA 69, 062311, 2004): exact values, not the window."""
+
+    @staticmethod
+    def assert_exact(g, cut):
+        profile = schmidt_profile(g, cut)
+        k = 1 << gf2_rank(g.adj[v] & ~cut for v in iter_bits(cut))
+        assert profile.k == k, f"cut {cut:#x} of {g.edges()}"
+        assert profile.a0_sq == pytest.approx(1 / k, abs=1e-12)
+
+    def test_every_cut_up_to_six_vertices(self):
+        rng = random.Random(1913)
+        gs = [build_family(fam, n) for fam in GraphFamily for n in range(2, 7)]
+        gs += [graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+               for n in range(2, 7) for _ in range(4)]
+        for g in gs:
+            for cut in range(1, g.vertex_mask):
+                self.assert_exact(g, cut)
+
+    def test_scattered_cuts_up_to_ten_vertices(self):
+        # prefix cuts and their complements read the same under a reversed
+        # qubit order, so only the other cuts test the axis order
+        rng = random.Random(2004)
+        for n in range(3, 11):
+            prefixes = {(1 << k) - 1 for k in range(n + 1)}
+            prefixes |= {((1 << n) - 1) ^ p for p in prefixes}
+            for _ in range(25):
+                g = graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+                cut = rng.choice([c for c in range(1, 1 << n) if c not in prefixes])
+                self.assert_exact(g, cut)
