@@ -48,7 +48,7 @@ from .oracle import (
     schmidt_profile,
     statevector,
 )
-from .stabilizer import BellOperator, PauliString, apply_permutation, bell_terms, generator
+from .stabilizer import BellOperator, apply_permutation, bell_terms
 
 __all__ = [
     "Assignment",
@@ -60,7 +60,6 @@ __all__ = [
     "Graph",
     "GraphFamily",
     "InvalidGraphError",
-    "PauliString",
     "SchmidtProfile",
     "StateVector",
     "TreeCertificate",
@@ -75,7 +74,6 @@ __all__ = [
     "classical_bound",
     "connected_components",
     "from_edges",
-    "generator",
     "geometric_measure_lower_bound",
     "induced_subgraph",
     "is_connected",

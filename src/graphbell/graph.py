@@ -26,6 +26,12 @@ class GraphFamily(Enum):
     FULLY_CONNECTED = "fc"
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 1..MAX_VERTICES, before anything of size n is built."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise InvalidGraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on ``n`` vertices with per-vertex neighbor masks.
@@ -38,8 +44,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise InvalidGraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise InvalidGraphError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -82,6 +87,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from (i, j) pairs; duplicates are idempotent."""
+    check_vertex_count(n)
     adj = [0] * n
     for i, j in edges:
         if i == j:
@@ -97,6 +103,7 @@ def build_family(family: GraphFamily, n: int) -> Graph:
     """Construct a named family member: chain, ring, star, or clique on n >= 2 vertices."""
     if n < 2:
         raise InvalidGraphError(f"family graphs need n >= 2, got {n}")
+    check_vertex_count(n)
     if family is GraphFamily.LINEAR_CLUSTER:
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family is GraphFamily.RING_CLUSTER:

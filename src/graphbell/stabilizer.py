@@ -1,14 +1,14 @@
-"""Pauli strings and the stabilizer group of a graph state.
+"""The stabilizer group of a graph state as signed Pauli term arrays.
 
-A Pauli string is stored as an (x_mask, z_mask, sign) triple: the letter on
-qubit k is decoded from the bit pair (x, z) as (0,0)=identity, (1,0)=X,
-(1,1)=Y, (0,1)=Z. Every element of a graph state's stabilizer group has a
-closed form with a real sign, so no complex phase is ever tracked.
+A list of signed n-qubit Pauli strings is held as three parallel arrays:
+x_masks and z_masks (uint32) and signs (int8, +1 or -1). The letter of
+term j on qubit k is decoded from the bit pair (x, z) = (x_masks[j] >> k & 1,
+z_masks[j] >> k & 1) as (0,0)=identity, (1,0)=X, (1,1)=Y, (0,1)=Z. Every
+element of a graph state's stabilizer group has a closed form with a real
+sign, so no complex phase is ever tracked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,69 +18,14 @@ from .graph import Graph
 TERM_ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Signed n-qubit Pauli string."""
-
-    n: int
-    x_mask: int
-    z_mask: int
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
-            raise ValueError("mask bits outside the qubit range")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    def letter(self, k: int) -> str:
-        """Letter at qubit k, one of '1XYZ'."""
-        x = self.x_mask >> k & 1
-        z = self.z_mask >> k & 1
-        return "1XZY"[x + 2 * z]
-
-    def to_text(self) -> str:
-        """Render as e.g. '-XXY1Z' (qubit 0 leftmost, '1' for identity)."""
-        body = "".join(self.letter(k) for k in range(self.n))
-        return ("+" if self.sign > 0 else "-") + body
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        """Parse the to_text rendering; the sign prefix is optional."""
-        s = text.strip()
-        sign = 1
-        if s and s[0] in "+-":
-            sign = 1 if s[0] == "+" else -1
-            s = s[1:]
-        if not s:
-            raise ValueError("empty Pauli string")
-        x = z = 0
-        for k, ch in enumerate(s):
-            if ch == "X":
-                x |= 1 << k
-            elif ch == "Y":
-                x |= 1 << k
-                z |= 1 << k
-            elif ch == "Z":
-                z |= 1 << k
-            elif ch != "1":
-                raise ValueError(f"invalid Pauli letter {ch!r}")
-        return cls(len(s), x, z, sign)
-
-
-def generator(g: Graph, i: int) -> PauliString:
-    """Stabilizer generator of vertex i: X on i, Z on each neighbor."""
-    g._check_vertex(i)
-    return PauliString(g.n, 1 << i, g.adj[i], 1)
-
-
 class BellOperator:
-    """All 2^n stabilizer elements of a graph, indexed by generator-subset mask.
+    """A list of signed Pauli terms on n qubits, stored column-wise.
 
-    Terms are stored column-wise (x_masks, z_masks, signs arrays) so that the
-    exact search can consume them without materializing 2^n objects; index j
-    corresponds to the subset whose set bits name the generators multiplied.
+    The x_masks, z_masks and signs arrays let the exact search and the
+    oracle consume the terms without materializing 2^n objects. In the
+    output of ``bell_terms`` term j is the stabilizer element of the
+    generator subset whose set bits are j; other term lists, such as those
+    of ``apply_permutation``, carry no such index.
     """
 
     def __init__(self, n: int, x_masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray):
@@ -91,12 +36,6 @@ class BellOperator:
 
     def __len__(self) -> int:
         return len(self.signs)
-
-    def term(self, j: int) -> PauliString:
-        return PauliString(self.n, int(self.x_masks[j]), int(self.z_masks[j]), int(self.signs[j]))
-
-    def __iter__(self):
-        return (self.term(j) for j in range(len(self)))
 
 
 def bell_terms(g: Graph) -> BellOperator:
@@ -140,7 +79,7 @@ def apply_permutation(b: BellOperator, qubit: int, perm: str) -> BellOperator:
                          "a bijection on {1, X, Y, Z}")
     if not 0 <= qubit < b.n:
         raise ValueError(f"qubit {qubit} out of range")
-    # code = x_bit + 2*z_bit indexes "1XZY", as in PauliString.letter
+    # code = x_bit + 2*z_bit indexes "1XZY", the letter decoding of the module docstring
     lut = np.zeros(4, dtype=np.uint32)
     for src, dst in zip("1XYZ", perm):
         lut["1XZY".index(src)] = "1XZY".index(dst)

@@ -1,5 +1,9 @@
 """Shared test machinery: dense oracles, reference algebra and LHV scan, graph enumeration.
 
+The package holds Pauli terms only as the arrays of a ``BellOperator``.
+The scalar Pauli model here (``PauliString``, its text format and
+``generator``) is the tests' own, written without the package's stabilizer
+module; ``term_of`` and ``terms_of`` read a term list as these records.
 The dense Pauli matrices here are built independently of the package's
 oracle module, the scalar Pauli product independently of the closed-form
 ``bell_terms``, the LHV scan independently of its transform engine, the
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -23,14 +28,75 @@ from graphbell import (
     BellOperator,
     Graph,
     InvalidGraphError,
-    PauliString,
     bell_terms,
     classical_bound,
     from_edges,
-    generator,
     is_connected,
     statevector,
 )
+
+@dataclass(frozen=True)
+class PauliString:
+    """Signed n-qubit Pauli string.
+
+    The letter on qubit k is decoded from the bit pair (x_mask >> k & 1,
+    z_mask >> k & 1) as (0,0)=identity, (1,0)=X, (1,1)=Y, (0,1)=Z.
+    """
+
+    n: int
+    x_mask: int
+    z_mask: int
+    sign: int = 1
+
+    def letter(self, k: int) -> str:
+        """Letter at qubit k, one of '1XYZ'."""
+        x = self.x_mask >> k & 1
+        z = self.z_mask >> k & 1
+        return "1XZY"[x + 2 * z]
+
+    def to_text(self) -> str:
+        """Render as e.g. '-XXY1Z' (qubit 0 leftmost, '1' for identity)."""
+        body = "".join(self.letter(k) for k in range(self.n))
+        return ("+" if self.sign > 0 else "-") + body
+
+    @classmethod
+    def from_text(cls, text: str) -> "PauliString":
+        """Parse the to_text rendering; the sign prefix is optional."""
+        s = text.strip()
+        sign = 1
+        if s and s[0] in "+-":
+            sign = 1 if s[0] == "+" else -1
+            s = s[1:]
+        x = z = 0
+        for k, ch in enumerate(s):
+            if ch == "X":
+                x |= 1 << k
+            elif ch == "Y":
+                x |= 1 << k
+                z |= 1 << k
+            elif ch == "Z":
+                z |= 1 << k
+            elif ch != "1":
+                raise ValueError(f"invalid Pauli letter {ch!r}")
+        return cls(len(s), x, z, sign)
+
+
+def generator(g: Graph, i: int) -> PauliString:
+    """Stabilizer generator of vertex i: X on i, Z on each neighbor."""
+    if not 0 <= i < g.n:
+        raise InvalidGraphError(f"vertex {i} out of range 0..{g.n - 1}")
+    return PauliString(g.n, 1 << i, g.adj[i], 1)
+
+
+def term_of(b: BellOperator, j: int) -> PauliString:
+    """Term j of a term list as a record."""
+    return PauliString(b.n, int(b.x_masks[j]), int(b.z_masks[j]), int(b.signs[j]))
+
+
+def terms_of(b: BellOperator) -> list[PauliString]:
+    """Every term of a term list as records, in order."""
+    return [term_of(b, j) for j in range(len(b))]
+
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,7 +112,7 @@ def dense_pauli(letters: str, sign: int = 1) -> np.ndarray:
 
 
 def dense_of(p) -> np.ndarray:
-    """Dense matrix of a package PauliString via its letter rendering."""
+    """Dense matrix of a PauliString via its letter rendering."""
     return dense_pauli(p.to_text()[1:], p.sign)
 
 
@@ -96,7 +162,7 @@ def reference_bell_value(g: Graph) -> float:
     """<B> one term at a time: apply each Pauli string to the dense state, then np.vdot."""
     state = statevector(g)
     total = 0.0
-    for term in bell_terms(g):
+    for term in terms_of(bell_terms(g)):
         total += float(np.real(np.vdot(state.amplitudes, apply_pauli(term, state.amplitudes))))
     return total
 

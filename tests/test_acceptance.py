@@ -33,6 +33,7 @@ from helpers import (
     connected_labeled_graphs,
     graph_from_edge_mask,
     random_connected_graph,
+    terms_of,
 )
 from graphbell import local_complement
 
@@ -61,7 +62,7 @@ def test_criterion_1_family_table_reproduction():
 
 def test_criterion_2_three_clique_micro_checks():
     fc3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
-    rendered = sorted(t.to_text() for t in bell_terms(fc3))
+    rendered = sorted(t.to_text() for t in terms_of(bell_terms(fc3)))
     assert rendered == sorted(["+111", "+XZZ", "+ZXZ", "+ZZX", "+YY1", "+Y1Y", "+1YY", "-XXX"])
     assert classical_bound(fc3).c == 6
     assert quantum_bell_value(fc3) == pytest.approx(8.0, abs=1e-9)
@@ -228,7 +229,7 @@ def _assert_bridge_letter_map(g1, b1, g2, b2, u, v):
 def test_criterion_10_bridge_endpoint_letter_map():
     terms_cache: dict = {}
 
-    def terms_of(g):
+    def cached_terms(g):
         if g not in terms_cache:
             terms_cache[g] = bell_terms(g)
         return terms_cache[g]
@@ -242,7 +243,7 @@ def test_criterion_10_bridge_endpoint_letter_map():
                 for g2 in connected_graph_classes(n2):
                     for u in range(n1):
                         for v in range(n2):
-                            _assert_bridge_letter_map(g1, terms_of(g1), g2, terms_of(g2), u, v)
+                            _assert_bridge_letter_map(g1, cached_terms(g1), g2, cached_terms(g2), u, v)
                             checked += 1
     print(f"\n[criterion 10] PASS: endpoint letter map verified on {checked} "
           "bridge compositions (every subset of every composition)")

@@ -145,6 +145,11 @@ class TestBoundCommand:
             main(["bound", "--family", "lc", "--n", "5", *flags])
         assert exc.value.code == 4
 
+    def test_oversize_family_exits_with_vertex_count_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--family", "lc", "--n", "40")
+        assert (code, out) == (4, "")
+        assert err == "error: vertex count must be in 1..31, got 40\n"
+
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n0 0\n")
@@ -444,6 +449,22 @@ def test_module_entry_point_exit_codes():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == want, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_huge_family_refused_before_building():
+    # the count is refused before the edge list or any adjacency mask is
+    # built, so 1 GiB of address space is plenty; building the 2,000,000-vertex
+    # chain first would need gigabytes and end in MemoryError, not exit 4
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    capped_cli = ("import resource, runpy; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "runpy.run_module('graphbell.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", capped_cli, "bound", "--family", "lc",
+                           "--n", "2000000"], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: vertex count must be in 1..31, got 2000000\n"
 
 
 class TestLcCommand:

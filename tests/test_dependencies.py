@@ -1,8 +1,10 @@
-"""The package imports nothing beyond the standard library and numpy."""
+"""The package imports nothing beyond the standard library and numpy, and exports what it names."""
 
 import ast
 import sys
 from pathlib import Path
+
+import graphbell
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphbell"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "graphbell"}
@@ -23,3 +25,10 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_public_names_resolve_once():
+    names = graphbell.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(graphbell, name) for name in names)
+    assert {"PauliString", "generator"}.isdisjoint(names)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,33 @@ class TestGraphInvariants:
 
     def test_from_edges_duplicates_idempotent(self):
         assert from_edges(3, [(0, 1), (1, 0), (0, 1)]) == from_edges(3, [(0, 1)])
+
+
+def traced_peak(build, n: int) -> int:
+    """Peak bytes traced while ``build()`` runs; it must refuse the vertex count n."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGraphError, match=rf"vertex count must be in 1\.\.31, got {n}"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOversizeRefusedEarly:
+    """A vertex count over 31 is refused before any edge or mask of size n is built."""
+
+    # the clique's edge list grows as n^2: at 2,000 vertices code that builds
+    # it first peaks near 200 MB, still far over the bound, where 20,000
+    # would take tens of GB before failing
+    @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 20_000),
+                                        (GraphFamily.FULLY_CONNECTED, 2_000)])
+    def test_build_family(self, fam, n):
+        assert traced_peak(lambda: build_family(fam, n), n) < 64 * 1024
+
+    def test_from_edges(self):
+        chain = [(i, i + 1) for i in range(19_999)]
+        assert traced_peak(lambda: from_edges(20_000, chain), 20_000) < 64 * 1024
 
 
 class TestFamilies:

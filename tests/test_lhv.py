@@ -12,7 +12,6 @@ from graphbell import (
     BellOperator,
     CapExceededError,
     GraphFamily,
-    PauliString,
     apply_permutation,
     bell_terms,
     bell_value,
@@ -24,6 +23,7 @@ from graphbell import (
 )
 from graphbell.lhv import search_limit
 from helpers import (
+    PauliString,
     all_labeled_graphs,
     connected_graphs,
     graph_from_edge_mask,
@@ -31,6 +31,8 @@ from helpers import (
     random_connected_graph,
     reference_scan,
     term_list,
+    term_of,
+    terms_of,
 )
 
 FC3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
@@ -100,12 +102,12 @@ class TestBellValue:
             data.draw(st.integers(0, full)),
         )
         b = bell_terms(g)
-        assert bell_value(b, a) == sum(scalar_term_value(t, a) for t in b)
+        assert bell_value(b, a) == sum(scalar_term_value(t, a) for t in terms_of(b))
 
 
 def brute_force_unreduced_max(g) -> int:
     """Independent exhaustive loop over every 8^n assignment, no numpy."""
-    b = list(bell_terms(g))
+    b = terms_of(bell_terms(g))
     best = 0
     for neg_x in range(1 << g.n):
         for neg_y in range(1 << g.n):
@@ -399,11 +401,16 @@ class TestPermutation:
     def test_identity_permutation(self):
         b = bell_terms(FC3)
         permuted = apply_permutation(b, 0, "1XYZ")
-        assert [t.to_text() for t in permuted] == [t.to_text() for t in b]
+        assert [t.to_text() for t in terms_of(permuted)] == [t.to_text() for t in terms_of(b)]
 
     def test_swap_x_with_identity(self):
         b = apply_permutation(bell_terms(FC3), 0, "X1YZ")
-        assert b.term(0b111).to_text() == "-1XX"
+        assert term_of(b, 0b111).to_text() == "-1XX"
+
+    @pytest.mark.parametrize("qubit", [FC3.n, -1])
+    def test_qubit_out_of_range_rejected(self, qubit):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_permutation(bell_terms(FC3), qubit, "X1YZ")
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from graphbell import (
     check_stabilized,
     classical_bound,
     from_edges,
-    generator,
     projector_identity_residual,
     quantum_bell_value,
     schmidt_profile,
@@ -24,11 +23,13 @@ from graphbell import (
 from graphbell import oracle
 from graphbell.graph import iter_bits
 from graphbell.oracle import _expectation, operator_matrix
-from graphbell.stabilizer import PauliString, apply_permutation
+from graphbell.stabilizer import apply_permutation
 from helpers import (
+    PauliString,
     apply_pauli,
     connected_graphs,
     dense_of,
+    generator,
     gf2_rank,
     graph_from_edge_mask,
     pauli_strings,
@@ -36,6 +37,7 @@ from helpers import (
     reference_bell_value,
     reference_statevector,
     term_list,
+    terms_of,
 )
 
 SINGLE = from_edges(1, [])
@@ -220,7 +222,7 @@ class TestProjectorIdentity:
         operators.append(apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)),
                                            2, "Z1XY"))
         for terms in operators:
-            total = sum(dense_of(t) for t in terms)
+            total = sum(dense_of(t) for t in terms_of(terms))
             np.testing.assert_array_equal(operator_matrix(terms), total)
 
 

@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 from graphbell import (
     CapExceededError,
     GraphFamily,
-    PauliString,
     bell_terms,
     build_family,
     from_edges,
-    generator,
 )
 from helpers import (
+    PauliString,
     all_labeled_graphs,
     connected_graphs,
     dense_of,
     element,
+    generator,
     graph_from_edge_mask,
     multiply,
     pauli_strings,
+    term_of,
+    terms_of,
 )
 
 FC3 = build_family(GraphFamily.FULLY_CONNECTED, 3)
@@ -97,25 +99,25 @@ class TestElement:
 
 class TestBellTerms:
     def test_fc3_term_table(self):
-        rendered = sorted(t.to_text() for t in bell_terms(FC3))
+        rendered = sorted(t.to_text() for t in terms_of(bell_terms(FC3)))
         assert rendered == sorted(
             ["+111", "+XZZ", "+ZXZ", "+ZZX", "+YY1", "+Y1Y", "+1YY", "-XXX"]
         )
 
     def test_single_edge(self):
         pair = from_edges(2, [(0, 1)])
-        assert sorted(t.to_text() for t in bell_terms(pair)) == sorted(
+        assert sorted(t.to_text() for t in terms_of(bell_terms(pair))) == sorted(
             ["+11", "+XZ", "+ZX", "+YY"]
         )
 
     def test_lc3_single_negative_sign(self):
-        signs = [t.sign for t in bell_terms(LC3)]
+        signs = [t.sign for t in terms_of(bell_terms(LC3))]
         assert signs.count(-1) == 1
 
     def test_lc3_signs_match_dense_products(self):
         # brute-force oracle: multiply dense generator matrices per subset
         gens = [dense_of(generator(LC3, i)) for i in range(3)]
-        for subset, term in enumerate(bell_terms(LC3)):
+        for subset, term in enumerate(terms_of(bell_terms(LC3))):
             product = np.eye(8, dtype=complex)
             for i in range(3):
                 if subset >> i & 1:
@@ -126,9 +128,9 @@ class TestBellTerms:
         for fam in GraphFamily:
             g = build_family(fam, 5)
             b = bell_terms(g)
-            assert b.term(0) == PauliString(5, 0, 0, 1)
+            assert term_of(b, 0) == PauliString(5, 0, 0, 1)
             for i in range(5):
-                assert b.term(1 << i) == generator(g, i)
+                assert term_of(b, 1 << i) == generator(g, i)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -143,7 +145,7 @@ class TestClosedForm:
         for g in all_labeled_graphs(n):
             b = bell_terms(g)
             for subset in range(1 << n):
-                assert b.term(subset) == element(g, subset)
+                assert term_of(b, subset) == element(g, subset)
 
     def test_seeded_random_graphs(self):
         rng = random.Random(2004)
@@ -152,7 +154,7 @@ class TestClosedForm:
             g = graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             b = bell_terms(g)
             for subset in range(1 << n):
-                assert b.term(subset) == element(g, subset)
+                assert term_of(b, subset) == element(g, subset)
 
     def test_column_dtypes(self):
         b = bell_terms(build_family(GraphFamily.RING_CLUSTER, 6))
@@ -168,7 +170,7 @@ class TestGroupClosure:
         b = bell_terms(g)
         for a in range(16):
             for c in range(16):
-                assert multiply(b.term(a), b.term(c)) == b.term(a ^ c)
+                assert multiply(term_of(b, a), term_of(b, c)) == term_of(b, a ^ c)
 
     @given(connected_graphs(min_n=5, max_n=10), st.data())
     @settings(max_examples=80, deadline=None)
@@ -177,7 +179,7 @@ class TestGroupClosure:
         size = 1 << g.n
         a = data.draw(st.integers(0, size - 1))
         c = data.draw(st.integers(0, size - 1))
-        assert multiply(b.term(a), b.term(c)) == b.term(a ^ c)
+        assert multiply(term_of(b, a), term_of(b, c)) == term_of(b, a ^ c)
 
     @given(connected_graphs(max_n=6), st.data())
     @settings(max_examples=60)
