@@ -2,15 +2,22 @@
 """Time the North-star command-line rows and write BENCH_<label>.json.
 
     python scripts/bench_rows.py --label 1
+    python scripts/bench_rows.py --label 6 --parent ../parent --rows verify-rc-12
 
 Each run of a row is one `graphbell` command in a fresh Python process that
 imports the package from this checkout's ``src/``, which is how a
 command-line user meets it. The ``tier1`` row runs the Tier-1 test command,
 ``python -m pytest -q --continue-on-collection-errors``, from the root of the
 checkout in the same way. A row's ``wall_s`` and ``peak_rss_mb`` are the
-medians over 3 runs (wall clock from start to exit, and the
+medians over 3 runs (``--repeats``; wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
+
+With ``--parent``, each row's runs alternate between that checkout (first)
+and this one, so that a drift of the host between runs falls on both trees
+alike. The row then also holds the parent's medians under ``parent_*`` keys,
+and the file the parent's commit and line count.
+
 The file is written at the root of the checkout. Standard library only; the
 exit status is 1 if any run did not exit 0.
 """
@@ -46,10 +53,10 @@ ROWS = {
 }
 
 
-def run_once(argv: list[str], env: dict) -> tuple[float, float, int]:
-    """(wall seconds, peak RSS in MB, exit code) of one row's fresh process."""
+def run_once(argv: list[str], env: dict, root: Path = ROOT) -> tuple[float, float, int]:
+    """(wall seconds, peak RSS in MB, exit code) of one row's fresh process in checkout ``root``."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", MODULES[argv[0]], *argv[1:]], env=env, cwd=ROOT,
+    proc = subprocess.Popen([sys.executable, "-m", MODULES[argv[0]], *argv[1:]], env=env, cwd=root,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
@@ -57,8 +64,37 @@ def run_once(argv: list[str], env: dict) -> tuple[float, float, int]:
     return wall, usage.ru_maxrss / 1024, proc.returncode  # ru_maxrss is in KiB on Linux
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob("*.py")))
+def tree_env(root: Path) -> dict:
+    """Environment whose Python imports graphbell from checkout ``root``."""
+    return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+def time_row(argv: list[str], roots: list[Path], repeats: int) -> list[list[tuple[float, float, int]]]:
+    """``repeats`` runs of one row in each checkout, alternating; one list of runs per checkout."""
+    runs: list[list[tuple[float, float, int]]] = [[] for _ in roots]
+    for _ in range(repeats):
+        for tree_runs, root in zip(runs, roots):
+            tree_runs.append(run_once(argv, tree_env(root), root))
+    return runs
+
+
+def summary(runs: list[tuple[float, float, int]], prefix: str = "") -> dict:
+    """Median wall time and peak RSS of one row's runs in one checkout."""
+    walls, rss, codes = zip(*runs)
+    return {f"{prefix}wall_s": round(statistics.median(walls), 3),
+            f"{prefix}peak_rss_mb": round(statistics.median(rss), 1),
+            f"{prefix}runs_wall_s": [round(w, 3) for w in walls],
+            f"{prefix}exit_codes": list(codes)}
+
+
+def src_lines(root: Path = ROOT) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def commit(root: Path) -> str | None:
+    """The checked-out commit of ``root``, or None outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def machine(env: dict) -> dict:
@@ -72,23 +108,35 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--parent", type=Path,
+                        help="a checkout to time against, its runs alternating with this one's")
+    parser.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS),
+                        help="the rows to time (default: all)")
+    parser.add_argument("--repeats", type=int, default=REPEATS, help="runs per row and checkout")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.parent is not None and not (args.parent / "src" / "graphbell").is_dir():
+        parser.error(f"--parent {args.parent} holds no src/graphbell")
 
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    roots = [ROOT] if args.parent is None else [args.parent.resolve(), ROOT]
     rows, failed = {}, False
-    for name, argv in ROWS.items():
-        runs = [run_once(argv, env) for _ in range(REPEATS)]
-        walls, rss, codes = zip(*runs)
-        failed |= any(codes)
-        rows[name] = {"argv": argv,
-                      "wall_s": round(statistics.median(walls), 3),
-                      "peak_rss_mb": round(statistics.median(rss), 1),
-                      "runs_wall_s": [round(w, 3) for w in walls],
-                      "exit_codes": list(codes)}
-        print(f"{name:14s} {rows[name]['wall_s']:8.3f} s {rows[name]['peak_rss_mb']:8.1f} MB"
-              f"  exit {sorted(set(codes))}", flush=True)
-    report = {"label": args.label, "machine": machine(env), "src_lines": src_lines(),
-              "repeats": REPEATS, "rows": rows}
+    for name in args.rows:
+        *parent_runs, runs = time_row(ROWS[name], roots, args.repeats)
+        rows[name] = {"argv": ROWS[name], **summary(runs)}
+        if parent_runs:
+            rows[name].update(summary(parent_runs[0], "parent_"))
+        codes = {code for tree_runs in (*parent_runs, runs) for *_, code in tree_runs}
+        failed |= codes != {0}
+        line = f"{name:14s} {rows[name]['wall_s']:8.3f} s {rows[name]['peak_rss_mb']:8.1f} MB"
+        if parent_runs:
+            line += f"  (parent {rows[name]['parent_wall_s']:.3f} s {rows[name]['parent_peak_rss_mb']:.1f} MB)"
+        print(f"{line}  exit {sorted(codes)}", flush=True)
+    report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
+              "repeats": args.repeats}
+    if args.parent is not None:
+        report["parent"] = {"commit": commit(roots[0]), "src_lines": src_lines(roots[0])}
+    report["rows"] = rows
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")

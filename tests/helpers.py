@@ -141,7 +141,7 @@ def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
     idx = np.arange(amplitudes.shape[0])
     z_parity = np.bitwise_count(idx & p.z_mask) & 1
     coeff = p.sign * (1j ** (p.x_mask & p.z_mask).bit_count()) * np.where(z_parity == 1, -1.0, 1.0)
-    out = np.empty_like(amplitudes)
+    out = np.empty_like(amplitudes, dtype=complex)  # i-phased terms take real states to complex
     out[idx ^ p.x_mask] = coeff * amplitudes
     return out
 

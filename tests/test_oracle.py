@@ -65,9 +65,27 @@ class TestStatevector:
         with pytest.raises(CapExceededError):
             statevector(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
+    def test_amplitudes_are_real_and_read_only(self):
+        amps = statevector(build_family(GraphFamily.RING_CLUSTER, 5)).amplitudes
+        assert amps.dtype == np.float64
+        assert not amps.flags.writeable
+
+    def test_checks_of_one_graph_build_the_state_once(self):
+        g, other = (build_family(fam, 6) for fam in (GraphFamily.STAR, GraphFamily.RING_CLUSTER))
+        oracle._amplitudes.cache_clear()
+        check_stabilized(g)
+        quantum_bell_value(g)
+        schmidt_profile(g, 0b000111)
+        projector_identity_residual(g)
+        assert statevector(g).amplitudes is statevector(g).amplitudes
+        assert oracle._amplitudes.cache_info().misses == 1
+        statevector(other)
+        assert np.array_equal(statevector(g).amplitudes, reference_statevector(g))
+        assert oracle._amplitudes.cache_info().misses == 3
+
     def test_doubling_matches_edge_by_edge(self):
-        # real parts bit for bit; the imaginary parts are zeros, and the
-        # edge-by-edge negations leave some of them as -0.0
+        # real parts bit for bit; the reference is complex, its imaginary
+        # parts are zeros, and the edge-by-edge negations leave some as -0.0
         rng = random.Random(1318)
         gs = [SINGLE, from_edges(3, [])]
         gs += [build_family(fam, n) for fam in GraphFamily for n in range(2, 13)]
@@ -199,6 +217,33 @@ class TestBatchedExpectation:
 
         monkeypatch.setattr(oracle, "bell_terms", one_sign_flipped)
         assert quantum_bell_value(build_family(fam, n)) == pytest.approx((1 << n) - 2, abs=1e-9)
+
+    @pytest.mark.parametrize("terms_per_block", [None, 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_shuffled_terms_give_the_sorted_value(self, monkeypatch, n, terms_per_block):
+        # an X<->Y swap on qubit 0 gives every term with an X or Y there an odd Y count
+        g = SINGLE if n == 1 else build_family(GraphFamily.RING_CLUSTER if n >= 3
+                                               else GraphFamily.LINEAR_CLUSTER, n)
+        terms = apply_permutation(bell_terms(g), 0, "1YXZ")
+        assert np.any(np.bitwise_count(terms.x_masks & terms.z_masks) & 1)
+        amps = random_state(n, n)
+        if terms_per_block is not None:
+            monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
+
+        def reordered(order):
+            return BellOperator(n, terms.x_masks[order], terms.z_masks[order], terms.signs[order])
+
+        by_x = _expectation(reordered(np.argsort(terms.x_masks, kind="stable")), amps)
+        shuffled = reordered(np.random.default_rng(n).permutation(len(terms)))
+        assert _expectation(shuffled, amps) == pytest.approx(by_x, abs=1e-12)
+        assert _expectation(terms, amps) == pytest.approx(by_x, abs=1e-12)
+
+    def test_one_qubit_is_a_single_group(self):
+        # n = 1 puts no bit in the low half: one column, one group of terms
+        amps = random_state(7, 1)
+        terms = term_list([PauliString.from_text(t) for t in ("+1", "-X", "+Y", "-Z")])
+        expected = sum(float(np.real(np.vdot(amps, dense_of(t) @ amps))) for t in terms_of(terms))
+        assert _expectation(terms, amps) == pytest.approx(expected, abs=1e-12)
 
     def test_cap_refused_before_terms_are_built(self, monkeypatch):
         def never(g):

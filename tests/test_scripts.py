@@ -26,12 +26,35 @@ def test_chain_growth_demo_prints_chain_bounds():
         assert Fraction(bound) == chain_bound(int(length))
 
 
-def test_bench_rows_times_one_small_row():
+def load_bench_rows():
     spec = importlib.util.spec_from_file_location("bench_rows", ROOT / "scripts" / "bench_rows.py")
     bench_rows = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_rows)
+    return bench_rows
+
+
+def test_bench_rows_times_one_small_row():
+    bench_rows = load_bench_rows()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     wall, rss, code = bench_rows.run_once(bench_rows.ROWS["bound-rc-10"], env)
     assert code == 0
     assert wall > 0 and rss > 0
     assert bench_rows.src_lines() > 0
+
+
+def test_bench_rows_alternates_between_checkouts(monkeypatch):
+    bench_rows = load_bench_rows()
+    calls = []
+
+    def fake_run(argv, env, root):
+        calls.append(root)
+        assert env["PYTHONPATH"] == str(root / "src")
+        return 1.0 if root == ROOT else 2.0, 30.0, 0
+
+    monkeypatch.setattr(bench_rows, "run_once", fake_run)
+    parent, child = bench_rows.time_row(bench_rows.ROWS["bound-rc-10"], [ROOT.parent, ROOT], 3)
+    assert calls == [ROOT.parent, ROOT] * 3
+    assert bench_rows.summary(parent, "parent_") == {
+        "parent_wall_s": 2.0, "parent_peak_rss_mb": 30.0,
+        "parent_runs_wall_s": [2.0] * 3, "parent_exit_codes": [0] * 3}
+    assert bench_rows.summary(child)["wall_s"] == 1.0
