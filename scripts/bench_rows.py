@@ -2,19 +2,20 @@
 """Time the North-star command-line rows and write BENCH_<label>.json.
 
     python scripts/bench_rows.py --label 1
-    python scripts/bench_rows.py --label 6 --parent ../parent --rows verify-rc-12
+    python scripts/bench_rows.py --label 6 --parent ../parent
 
 Each run of a row is one `graphbell` command in a fresh Python process that
 imports the package from this checkout's ``src/``, which is how a
 command-line user meets it. The ``tier1`` row runs the Tier-1 test command,
 ``python -m pytest -q --continue-on-collection-errors``, from the root of the
 checkout in the same way. A row's ``wall_s`` and ``peak_rss_mb`` are the
-medians over 3 runs (``--repeats``; wall clock from start to exit, and the
+medians over 5 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
 
-With ``--parent``, each row's runs alternate between that checkout (first)
-and this one, so that a drift of the host between runs falls on both trees
+With ``--parent``, each row's runs alternate between that checkout and this
+one, and the side that runs first swaps from one round to the next, so that a
+drift of the host between runs, or a cold first run, falls on both trees
 alike. The row then also holds the parent's medians under ``parent_*`` keys,
 and the file the parent's commit and line count.
 
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 3
+REPEATS = 5
 
 MODULES = {"graphbell": "graphbell.cli", "pytest": "pytest"}  # program -> module run by -m
 
@@ -70,12 +71,13 @@ def tree_env(root: Path) -> dict:
 
 
 def time_row(argv: list[str], roots: list[Path], repeats: int) -> list[list[tuple[float, float, int]]]:
-    """``repeats`` runs of one row in each checkout, alternating; one list of runs per checkout."""
-    runs: list[list[tuple[float, float, int]]] = [[] for _ in roots]
-    for _ in range(repeats):
-        for tree_runs, root in zip(runs, roots):
-            tree_runs.append(run_once(argv, tree_env(root), root))
-    return runs
+    """``repeats`` runs of one row in each checkout, alternating, the first side swapping each
+    round; one list of runs per checkout, in the order of ``roots``."""
+    runs: dict[Path, list[tuple[float, float, int]]] = {root: [] for root in roots}
+    for i in range(repeats):
+        for root in roots if i % 2 == 0 else roots[::-1]:
+            runs[root].append(run_once(argv, tree_env(root), root))
+    return [runs[root] for root in roots]
 
 
 def summary(runs: list[tuple[float, float, int]], prefix: str = "") -> dict:
@@ -110,20 +112,15 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--parent", type=Path,
                         help="a checkout to time against, its runs alternating with this one's")
-    parser.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS),
-                        help="the rows to time (default: all)")
-    parser.add_argument("--repeats", type=int, default=REPEATS, help="runs per row and checkout")
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if args.parent is not None and not (args.parent / "src" / "graphbell").is_dir():
         parser.error(f"--parent {args.parent} holds no src/graphbell")
 
     roots = [ROOT] if args.parent is None else [args.parent.resolve(), ROOT]
     rows, failed = {}, False
-    for name in args.rows:
-        *parent_runs, runs = time_row(ROWS[name], roots, args.repeats)
-        rows[name] = {"argv": ROWS[name], **summary(runs)}
+    for name, argv in ROWS.items():
+        *parent_runs, runs = time_row(argv, roots, REPEATS)
+        rows[name] = {"argv": argv, **summary(runs)}
         if parent_runs:
             rows[name].update(summary(parent_runs[0], "parent_"))
         codes = {code for tree_runs in (*parent_runs, runs) for *_, code in tree_runs}
@@ -133,7 +130,7 @@ def main() -> int:
             line += f"  (parent {rows[name]['parent_wall_s']:.3f} s {rows[name]['parent_peak_rss_mb']:.1f} MB)"
         print(f"{line}  exit {sorted(codes)}", flush=True)
     report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
-              "repeats": args.repeats}
+              "repeats": REPEATS}
     if args.parent is not None:
         report["parent"] = {"commit": commit(roots[0]), "src_lines": src_lines(roots[0])}
     report["rows"] = rows

@@ -53,7 +53,7 @@ def test_bench_rows_alternates_between_checkouts(monkeypatch):
 
     monkeypatch.setattr(bench_rows, "run_once", fake_run)
     parent, child = bench_rows.time_row(bench_rows.ROWS["bound-rc-10"], [ROOT.parent, ROOT], 3)
-    assert calls == [ROOT.parent, ROOT] * 3
+    assert calls == [ROOT.parent, ROOT, ROOT, ROOT.parent, ROOT.parent, ROOT]
     assert bench_rows.summary(parent, "parent_") == {
         "parent_wall_s": 2.0, "parent_peak_rss_mb": 30.0,
         "parent_runs_wall_s": [2.0] * 3, "parent_exit_codes": [0] * 3}
