@@ -13,6 +13,11 @@ medians over 5 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
 
+The ``call-*`` rows time the engine call itself, without start-up: each
+run's child builds a ring-cluster graph, calls ``classical_bound`` until
+the calls take 0.2 s, then reports the best per-call time of 5 such loops
+(``timeit``). The row's ``call_s`` is the median of those bests.
+
 With ``--parent``, each row's runs alternate between that checkout and this
 one, and the side that runs first swaps from one round to the next, so that a
 drift of the host between runs, or a cold first run, falls on both trees
@@ -33,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,18 +57,41 @@ ROWS = {
     "compose-fc-20": ["graphbell", "compose", "--family", "fc", "--n", "20"],
     "compose-rc-31": ["graphbell", "compose", "--family", "rc", "--n", "31"],
     "tier1": ["pytest", "-q", "--continue-on-collection-errors"],
+    **{f"call-rc-{n}": ["call", "rc", str(n)] for n in (4, 6, 8, 9, 12)},
 }
+CALL_REPEATS = 5  # timed loops per call-row run; the run reports the best
+
+
+def time_call(family: str, n: int) -> float:
+    """Best seconds of one ``classical_bound`` call on a family graph, in this process."""
+    from graphbell import GraphFamily, build_family, classical_bound
+
+    g = build_family(GraphFamily(family), n)
+    timer = timeit.Timer(lambda: classical_bound(g))
+    number, _ = timer.autorange()  # its first call is the warm-up
+    return min(timer.repeat(CALL_REPEATS, number)) / number
 
 
 def run_once(argv: list[str], env: dict, root: Path = ROOT) -> tuple[float, float, int]:
-    """(wall seconds, peak RSS in MB, exit code) of one row's fresh process in checkout ``root``."""
+    """(seconds, peak RSS in MB, exit code) of one row's fresh process in checkout ``root``.
+
+    The seconds are the process's wall clock, or for a ``call`` row the best
+    call time its child prints (NaN if it printed none).
+    """
+    call = argv[0] == "call"
+    command = ([sys.executable, str(Path(__file__).resolve()), "--call", *argv[1:]] if call
+               else [sys.executable, "-m", MODULES[argv[0]], *argv[1:]])
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", MODULES[argv[0]], *argv[1:]], env=env, cwd=root,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(command, env=env, cwd=root, stderr=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE if call else subprocess.DEVNULL)
+    printed = proc.stdout.read() if call else b""
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
+    if call:
+        proc.stdout.close()
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return wall, usage.ru_maxrss / 1024, proc.returncode  # ru_maxrss is in KiB on Linux
+    seconds = wall if not call else float(printed) if proc.returncode == 0 else float("nan")
+    return seconds, usage.ru_maxrss / 1024, proc.returncode  # ru_maxrss is in KiB on Linux
 
 
 def tree_env(root: Path) -> dict:
@@ -80,12 +109,17 @@ def time_row(argv: list[str], roots: list[Path], repeats: int) -> list[list[tupl
     return [runs[root] for root in roots]
 
 
-def summary(runs: list[tuple[float, float, int]], prefix: str = "") -> dict:
-    """Median wall time and peak RSS of one row's runs in one checkout."""
-    walls, rss, codes = zip(*runs)
-    return {f"{prefix}wall_s": round(statistics.median(walls), 3),
+def summary(runs: list[tuple[float, float, int]], prefix: str = "", time_key: str = "wall_s") -> dict:
+    """Median seconds and peak RSS of one row's runs in one checkout.
+
+    ``time_key`` names the seconds: ``wall_s`` in milliseconds, or ``call_s``,
+    for a call row, in tenths of a microsecond.
+    """
+    times, rss, codes = zip(*runs)
+    digits = 7 if time_key == "call_s" else 3
+    return {f"{prefix}{time_key}": round(statistics.median(times), digits),
             f"{prefix}peak_rss_mb": round(statistics.median(rss), 1),
-            f"{prefix}runs_wall_s": [round(w, 3) for w in walls],
+            f"{prefix}runs_{time_key}": [round(t, digits) for t in times],
             f"{prefix}exit_codes": list(codes)}
 
 
@@ -109,25 +143,34 @@ def machine(env: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--parent", type=Path,
                         help="a checkout to time against, its runs alternating with this one's")
+    parser.add_argument("--call", nargs=2, metavar=("FAMILY", "N"),
+                        help="print the best seconds of one classical_bound call on that family "
+                             "graph and exit (the child of a call row)")
     args = parser.parse_args()
+    if args.call is not None:
+        print(time_call(args.call[0], int(args.call[1])))
+        return 0
+    if args.label is None:
+        parser.error("--label is required")
     if args.parent is not None and not (args.parent / "src" / "graphbell").is_dir():
         parser.error(f"--parent {args.parent} holds no src/graphbell")
 
     roots = [ROOT] if args.parent is None else [args.parent.resolve(), ROOT]
     rows, failed = {}, False
     for name, argv in ROWS.items():
+        key = "call_s" if argv[0] == "call" else "wall_s"
         *parent_runs, runs = time_row(argv, roots, REPEATS)
-        rows[name] = {"argv": argv, **summary(runs)}
+        rows[name] = {"argv": argv, **summary(runs, time_key=key)}
         if parent_runs:
-            rows[name].update(summary(parent_runs[0], "parent_"))
+            rows[name].update(summary(parent_runs[0], "parent_", key))
         codes = {code for tree_runs in (*parent_runs, runs) for *_, code in tree_runs}
         failed |= codes != {0}
-        line = f"{name:14s} {rows[name]['wall_s']:8.3f} s {rows[name]['peak_rss_mb']:8.1f} MB"
+        line = f"{name:14s} {rows[name][key]:8.4g} s {rows[name]['peak_rss_mb']:8.1f} MB"
         if parent_runs:
-            line += f"  (parent {rows[name]['parent_wall_s']:.3f} s {rows[name]['parent_peak_rss_mb']:.1f} MB)"
+            line += f"  (parent {rows[name]['parent_' + key]:.4g} s {rows[name]['parent_peak_rss_mb']:.1f} MB)"
         print(f"{line}  exit {sorted(codes)}", flush=True)
     report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
               "repeats": REPEATS}

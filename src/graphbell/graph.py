@@ -269,12 +269,15 @@ def induced_subgraph(g: Graph, vertices: int) -> tuple[Graph, list[int]]:
     """Induced subgraph on a vertex-set mask, plus the relabeling map.
 
     Returns (subgraph, labels) where labels[k] is the original vertex
-    carried by subgraph vertex k; labels are in ascending order.
+    carried by subgraph vertex k; labels are in ascending order. The whole
+    vertex set gives back ``g`` itself with labels 0..n-1.
     """
     if vertices == 0:
         raise InvalidGraphError("induced subgraph needs a nonempty vertex set")
     if vertices & ~g.vertex_mask:
         raise InvalidGraphError("vertex set contains vertices outside the graph")
+    if vertices == g.vertex_mask:
+        return g, list(range(g.n))
     labels = list(iter_bits(vertices))
     index = {v: k for k, v in enumerate(labels)}
     adj = [0] * len(labels)

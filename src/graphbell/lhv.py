@@ -26,7 +26,19 @@ times the cost per element. So a batch is transformed in two phases: the
 upper half of the key bits while they are the outer axis, then one
 transposed copy that swaps the two halves of the key, then the lower half,
 now outer. No butterfly run is shorter than rows * 2^(width // 2), and a
-maximum's position is read back by swapping the key halves again.
+maximum's position is read back through a table, per swapped key, of the
+packed (neg_x, neg_y, neg_z) it stands for at e = 0.
+
+The first batch, rows e < 2^row_bits, is one gather and one multiply:
+merged[key] * H[y(key) mod 2^row_bits, e], with H the Sylvester table
+H[a, e] = (-1)^<a, e>, built once per row count in int8 and read-only.
+Batch `base` is the first times (-1)^<y(key), base>, one sign per key.
+
+The buffers of a batch shape, their butterfly and swap views and the
+tie-break tables make a plan. Each thread keeps its last _PLAN_CACHE_SIZE
+plans of at most _BATCH_BYTES for reuse, so at most 2 MiB a thread; with
+these constants that covers every Z-pinned search of a graph with up to 8
+vertices, each one batch. A larger plan is built for its one call.
 
 The Z observables can be pinned to +1 without changing the maximum for
 graph-form operators (flipping Z on one qubit is absorbed by flipping Y
@@ -43,8 +55,12 @@ order the batches are visited in.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +75,7 @@ _BATCH_BYTES = 1 << 18  # one batch of rows stays in a core's cache
 # which is why the butterflies run in two phases, on runs of rows * 2^(width // 2) or more
 _MIN_BATCH_ROWS = 16
 _SIGNS = np.array([1, -1], dtype=np.int8)
+_PLAN_CACHE_SIZE = 8  # plans kept per thread, each of at most _BATCH_BYTES: 2 MiB a thread
 
 METHOD_EXHAUSTIVE = "exhaustive"
 
@@ -124,6 +141,111 @@ def search_space(n: int, pin_z: bool) -> int:
     return base**n
 
 
+@lru_cache(maxsize=None)
+def _hadamard(bits: int) -> np.ndarray:
+    """The read-only Sylvester table H[a, e] = (-1)^<a, e> over a, e < 2^bits, in int8."""
+    table = np.ones((1, 1), dtype=np.int8)
+    for _ in range(bits):  # doubling: [[H, H], [H, -H]]
+        table = np.block([[table, table], [table, -table]])
+    table.flags.writeable = False
+    return table
+
+
+class _Plan(NamedTuple):
+    """The buffers and views of one batch shape, and the tie-break table of its positions."""
+
+    batch: np.ndarray  # [key, e]: where a batch is written
+    phase_a: list
+    halves: np.ndarray
+    swapped: np.ndarray
+    phase_b: list
+    out: np.ndarray  # [swapped key, e], flat: where its transform ends
+    lex: np.ndarray  # the packed (neg_x, neg_y, neg_z) of each swapped key at e = 0
+    lex_e: np.ndarray  # what e adds to it, for every transformed e
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the two batch buffers and the two tie-break tables."""
+        return 2 * self.batch.nbytes + self.lex.nbytes + self.lex_e.nbytes
+
+
+def _build_plan(n: int, width: int, half: bool, row_bits: int, dtype) -> _Plan:
+    size, rows = 1 << width, 1 << row_bits
+    twin = (1 << n) - 1 if half else 0
+    bufs = (np.empty(size * rows, dtype=dtype), np.empty(size * rows, dtype=dtype))
+
+    def butterflies(levels, first):
+        # level k adds and subtracts cells rows << k apart; each level reads
+        # one buffer and writes the other, bufs[first] being read first
+        views = []
+        for step, k in enumerate(levels):
+            src = bufs[(first + step) % 2].reshape(-1, 2, rows << k)
+            dst = bufs[(first + step + 1) % 2].reshape(-1, 2, rows << k)
+            views.append((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
+        return views
+
+    # key = key_hi << lo | key_lo: phase A transforms the hi bits of
+    # [key_hi, key_lo, e], one copy makes it [key_lo, key_hi, e], and phase B
+    # transforms the lo bits, so no butterfly run is shorter than rows << lo
+    lo = width // 2
+    hi = width - lo
+    # lex packs (neg_x, neg_y, neg_z) most significant first, in 2n + z_bits
+    # <= 28 bits, with neg_y = e ^ s and s = neg_x ^ neg_z. With twins,
+    # e < 2^(n-1), so the top bit of neg_y is that of s, and the smaller
+    # twin is e ^ min(s, s ^ twin)
+    z_bits = width - n
+    col = np.arange(size, dtype=np.int32)
+    key = (col & ((1 << hi) - 1)) << lo
+    key |= col >> hi
+    neg_z = key & ((1 << z_bits) - 1)
+    lex = key >> z_bits  # neg_x, shifted into place below
+    s = lex ^ neg_z
+    np.minimum(s, s ^ twin, out=s)
+    lex <<= n + z_bits
+    lex |= s << z_bits
+    lex |= neg_z
+    return _Plan(
+        batch=bufs[0].reshape(size, rows),
+        phase_a=butterflies(range(lo, width), 0),
+        halves=bufs[hi % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2),
+        swapped=bufs[(hi + 1) % 2].reshape(1 << lo, 1 << hi, rows),
+        phase_b=butterflies(range(hi, width), hi + 1),
+        out=bufs[(width + 1) % 2],
+        lex=lex,
+        lex_e=np.arange(1 << (n - half), dtype=np.int32) << z_bits,
+    )
+
+
+class _PlanCache(threading.local):
+    """Each thread's own plans, so no two threads ever write the same buffers."""
+
+    def __init__(self):
+        self.plans: OrderedDict[tuple, _Plan] = OrderedDict()
+
+
+_plans = _PlanCache()
+
+
+def _plan(*key) -> _Plan:
+    """The plan of (n, width, half, row_bits, dtype): from this thread's cache, or built.
+
+    A plan of at most _BATCH_BYTES is kept, the least recently used one
+    leaving when there are more than _PLAN_CACHE_SIZE; a larger one serves
+    one call.
+    """
+    plans = _plans.plans
+    plan = plans.get(key)
+    if plan is not None:
+        plans.move_to_end(key)
+        return plan
+    plan = _build_plan(*key)
+    if plan.nbytes <= _BATCH_BYTES:
+        plans[key] = plan
+        if len(plans) > _PLAN_CACHE_SIZE:
+            plans.popitem(last=False)
+    return plan
+
+
 def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over LHV models for an arbitrary term list.
 
@@ -154,7 +276,6 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
         raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
     full = (1 << n) - 1
     half = n > 0 and not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
-    twin = full if half else 0
     dtype = np.int16 if len(b) < 1 << 15 else np.int32
     merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
@@ -162,74 +283,42 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - width
     row_bits = min(n - half, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
-    bufs = (np.empty(size * rows, dtype=dtype), np.empty(size * rows, dtype=dtype))
-    # the rows of e < rows, built by doubling over the bits of e as [e, key]
-    # in a spare buffer and copied once to [key, e]; batch `base` is these
-    # rows times (-1)^<y(key), base>, a broadcast along e
-    by_e = bufs[1].reshape(rows, size)
-    by_e[0] = merged
-    bits = np.arange(row_bits, dtype=y_of_key.dtype)[:, None]
-    flips = _SIGNS.take((y_of_key >> bits) & 1)
-    for k in range(row_bits):
-        np.multiply(by_e[: 1 << k], flips[k], out=by_e[1 << k : 2 << k])
-    base_rows = by_e.T.copy()
-    signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
-    chi = np.empty(size, dtype=dtype)  # refilled in place: a new one per batch cost 3 MB RSS at 8^9
-    batch = bufs[0].reshape(size, rows)
-
-    def butterflies(levels, first):
-        # level k adds and subtracts cells rows << k apart; each level reads
-        # one buffer and writes the other, bufs[first] being read first
-        views = []
-        for step, k in enumerate(levels):
-            src = bufs[(first + step) % 2].reshape(-1, 2, rows << k)
-            dst = bufs[(first + step + 1) % 2].reshape(-1, 2, rows << k)
-            views.append((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
-        return views
-
-    # key = key_hi << lo | key_lo: phase A transforms the hi bits of
-    # [key_hi, key_lo, e], one copy makes it [key_lo, key_hi, e], and phase B
-    # transforms the lo bits, so no butterfly run is shorter than rows << lo
-    lo = width // 2
-    hi = width - lo
-    phase_a = butterflies(range(lo, width), 0)
-    halves = bufs[hi % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2)
-    swapped = bufs[(hi + 1) % 2].reshape(1 << lo, 1 << hi, rows)
-    phase_b = butterflies(range(hi, width), hi + 1)
-    out = bufs[(width + 1) % 2]
+    plan = _plan(n, width, half, row_bits, dtype)
+    batch, out = plan.batch, plan.out
+    batches = range(0, 1 << (n - half), rows)
+    # the rows of e < rows are merged[key] * H[y(key), e], and batch `base` is
+    # them times (-1)^<y(key), base>, a broadcast along e
+    base_rows = np.multiply(_hadamard(row_bits).take(y_of_key & (rows - 1), axis=0),
+                            merged[:, None], out=batch if len(batches) == 1 else None)
+    if base_rows is not batch:
+        signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
+        chi = np.empty(size, dtype=dtype)  # refilled in place: a new one per batch cost 3 MB RSS at 8^9
     z_bits = width - n
     best, best_key = -1, 0
-    for base in range(0, 1 << (n - half), rows):
-        if base:
+    for base in batches:
+        if base_rows is not batch:
             signs.take(np.bitwise_count(y_of_key & base) & 1, out=chi)
             np.multiply(base_rows, chi[:, None], out=batch)
-        else:
-            np.copyto(batch, base_rows)
-        for s0, s1, d0, d1 in phase_a:
+        for s0, s1, d0, d1 in plan.phase_a:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
-        np.copyto(swapped, halves)
-        for s0, s1, d0, d1 in phase_b:
+        np.copyto(plan.swapped, plan.halves)
+        for s0, s1, d0, d1 in plan.phase_b:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
         np.abs(out, out=out)
-        m = int(out[out.argmax()])
+        m = int(out.max())
         if m < best:
             continue
-        # order the maxima of this batch by (neg_x, neg_y, neg_z); a
-        # position's key halves sit swapped, as [key_lo, key_hi, e]
-        pos = (out == m).nonzero()[0]
-        col = pos >> row_bits
-        col = (col & ((1 << hi) - 1)) << lo | col >> hi
-        neg_x = col >> z_bits
-        neg_z = col & ((1 << z_bits) - 1)
-        neg_y = (base + (pos & (rows - 1))) ^ neg_x ^ neg_z
-        neg_y = np.minimum(neg_y, neg_y ^ twin)  # the smaller of the twins
-        lex = (neg_x << (2 * n)) | (neg_y << n) | neg_z
-        key = int(lex[lex.argmin()])
+        # the smallest packed (neg_x, neg_y, neg_z) among this batch's maxima
+        cols, r = np.divmod((out == m).nonzero()[0], rows)
+        lex = plan.lex.take(cols)
+        lex ^= plan.lex_e[base : base + rows].take(r)
+        key = int(lex.min())
         if m > best or key < best_key:
             best, best_key = m, key
-    return best, Assignment(best_key >> (2 * n), best_key >> n & full, best_key & full), space
+    return best, Assignment(best_key >> (n + z_bits), best_key >> z_bits & full,
+                            best_key & ((1 << z_bits) - 1)), space
 
 
 def classical_bound(g: Graph) -> BoundReport:
@@ -251,9 +340,12 @@ def classical_bound(g: Graph) -> BoundReport:
         c, argmax, space = operator_bound(bell_terms(sub), pin_z=True)
         c_total *= c
         space_total += space
-        for k, v in enumerate(labels):
-            neg_x |= (argmax.neg_x >> k & 1) << v
-            neg_y |= (argmax.neg_y >> k & 1) << v
+        if len(comps) == 1:  # the labels are 0..n-1
+            neg_x, neg_y = argmax.neg_x, argmax.neg_y
+        else:
+            for k, v in enumerate(labels):
+                neg_x |= (argmax.neg_x >> k & 1) << v
+                neg_y |= (argmax.neg_y >> k & 1) << v
     assert 0 < c_total <= 1 << g.n
     return BoundReport(
         n=g.n,

@@ -45,24 +45,28 @@ def bell_terms(g: Graph) -> BellOperator:
     S and ΓS is the XOR of the neighbour masks of S. Writing XZ = -iY on the
     qubits of S ∩ ΓS gives the sign (-1)^{e(S) + |S∩ΓS|/2}, which is real:
     a vertex of S lies in ΓS exactly when it has odd degree in G[S], and
-    every graph has an even number of odd-degree vertices. One doubling loop
-    fills ΓS and the parity of e(S); adding vertex i to a subset of the
-    lower vertices toggles its neighbour mask and adds its edges into them.
+    every graph has an even number of odd-degree vertices.
+
+    One doubling array of uint64 fills both parts with one XOR per vertex:
+    adding vertex i to the subsets of the lower vertices XORs its neighbour
+    mask into the low word, which is ΓS, and its lower-neighbour mask
+    adj[i] & (2^i - 1) into the high word. e(S) sums |lower(i) ∩ S| over i
+    in S, and popcount(a & S) + popcount(b & S) has the parity of
+    popcount((a ^ b) & S), so e(S) is odd exactly when popcount(high & S) is.
     """
     if g.n > TERM_ENUMERATION_CAP:
         raise CapExceededError(
             f"term enumeration needs 2^{g.n} terms, cap is 2^{TERM_ENUMERATION_CAP}"
         )
     size = 1 << g.n
-    x = np.arange(size, dtype=np.uint32)
-    z = np.zeros(size, dtype=np.uint32)
-    odd_edges = np.zeros(size, dtype=np.uint8)
-    for i in range(g.n):
+    doubling = np.zeros(size, dtype=np.uint64)
+    for i, nbrs in enumerate(g.adj):
         half = 1 << i
-        nbrs = np.uint32(g.adj[i])
-        z[half : 2 * half] = z[:half] ^ nbrs
-        odd_edges[half : 2 * half] = odd_edges[:half] ^ (np.bitwise_count(x[:half] & nbrs) & 1)
-    flips = odd_edges + (np.bitwise_count(x & z) >> 1)
+        np.bitwise_xor(doubling[:half], np.uint64((nbrs & (half - 1)) << 32 | nbrs),
+                       out=doubling[half : 2 * half])
+    x = np.arange(size, dtype=np.uint32)
+    z = doubling.astype(np.uint32)  # the low word
+    flips = np.bitwise_count((doubling >> np.uint64(32)) & x) + (np.bitwise_count(x & z) >> 1)
     signs = np.where(flips & 1, np.int8(-1), np.int8(1))
     return BellOperator(g.n, x, z, signs)
 

@@ -261,6 +261,13 @@ class TestInducedSubgraph:
         with pytest.raises(InvalidGraphError):
             induced_subgraph(build_family(GraphFamily.STAR, 3), 0)
 
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_whole_vertex_set_is_the_graph(self, n):
+        g = build_family(GraphFamily.RING_CLUSTER, n) if n > 1 else from_edges(1, [])
+        sub, labels = induced_subgraph(g, g.vertex_mask)
+        assert sub is g
+        assert labels == list(range(n))
+
 
 class TestComponentsAndTrees:
     def test_path_is_tree(self):

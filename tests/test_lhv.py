@@ -1,5 +1,7 @@
 import json
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from graphbell import (
     local_complement,
     operator_bound,
 )
+from graphbell import lhv
 from graphbell.lhv import search_limit
 from helpers import (
     PauliString,
@@ -395,6 +398,55 @@ class TestBatchLayout:
             b = bell_terms(g)
             c, argmax, _ = operator_bound(b, pin_z=True)
             assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
+
+
+class TestPlanReuse:
+    """Batch plans are kept per thread, at most _PLAN_CACHE_SIZE of at most _BATCH_BYTES each."""
+
+    def test_two_threads_match_serial_within_the_cache_bounds(self):
+        rng = random.Random(16)
+        gs = [random_connected_graph(rng, n) for _ in range(4) for n in range(1, 10)]
+        # unpinned searches of 2..4 qubits add plan shapes, so the cache also evicts
+        ops = [bell_terms(build_family(fam, n)) for fam in GraphFamily for n in (2, 3, 4)]
+        ops = [apply_permutation(b, 0, "Y1ZX") for b in ops]
+
+        def solve(job):
+            kind, arg = job
+            if kind == "graph":
+                result = classical_bound(arg)
+            else:
+                result = operator_bound(arg, pin_z=False)
+            cache = lhv._plans.plans
+            sizes = [plan.nbytes for plan in cache.values()]
+            return result, len(sizes), sizes, threading.get_ident(), id(cache)
+
+        jobs = [("graph", g) for g in gs] + [("ops", b) for b in ops]
+        random.Random(61).shuffle(jobs)
+        serial = [classical_bound(arg) if kind == "graph" else operator_bound(arg, pin_z=False)
+                  for kind, arg in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(solve, jobs))
+        assert [result for result, *_ in results] == serial
+        for _, count, sizes, _, _ in results:
+            assert count <= lhv._PLAN_CACHE_SIZE
+            assert all(size <= lhv._BATCH_BYTES for size in sizes)
+            assert sum(sizes) <= lhv._PLAN_CACHE_SIZE * lhv._BATCH_BYTES <= 2 << 20
+        assert max(count for _, count, *_ in results) == lhv._PLAN_CACHE_SIZE
+        # each worker thread has a cache of its own, not the main thread's
+        caches = {thread: cache for *_, thread, cache in results}
+        assert len(set(caches.values())) == len(caches)
+        assert id(lhv._plans.plans) not in caches.values()
+
+    def test_graphs_up_to_8_vertices_reuse_one_plan(self):
+        for n in range(1, 9):
+            g = build_family(GraphFamily.LINEAR_CLUSTER, n) if n > 1 else from_edges(1, [])
+            first = classical_bound(g)
+            plan = next(reversed(lhv._plans.plans.values()))
+            assert classical_bound(g) == first
+            assert next(reversed(lhv._plans.plans.values())) is plan
+        plans_before = list(lhv._plans.plans)
+        classical_bound(build_family(GraphFamily.RING_CLUSTER, 9))  # two 256 KiB buffers: not kept
+        assert list(lhv._plans.plans) == plans_before
 
 
 class TestPermutation:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +59,36 @@ def test_bench_rows_alternates_between_checkouts(monkeypatch):
         "parent_wall_s": 2.0, "parent_peak_rss_mb": 30.0,
         "parent_runs_wall_s": [2.0] * 3, "parent_exit_codes": [0] * 3}
     assert bench_rows.summary(child)["wall_s"] == 1.0
+
+
+def test_bench_rows_call_row_child_reports_one_call():
+    bench_rows = load_bench_rows()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    seconds, rss, code = bench_rows.run_once(bench_rows.ROWS["call-rc-4"], env)
+    assert code == 0
+    assert 0 < seconds < 0.05  # one call on a 4-vertex ring, not the process
+    assert rss > 0
+
+
+def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
+    bench_rows = load_bench_rows()
+    calls = []
+
+    def fake_run(argv, env, root):
+        calls.append((argv[0], root))
+        return 2e-4 if root == tmp_path else 3e-4, 30.0, 0
+
+    monkeypatch.setattr(bench_rows, "run_once", fake_run)
+    monkeypatch.setattr(bench_rows, "ROOT", tmp_path)  # the output goes here
+    monkeypatch.setattr(bench_rows, "ROWS", {name: argv for name, argv in bench_rows.ROWS.items()
+                                             if argv[0] == "call"})
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--label", "t", "--parent", str(ROOT)])
+    assert bench_rows.main() == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12"]
+    assert len(calls) == 5 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
+    for row in report["rows"].values():
+        assert (row["call_s"], row["parent_call_s"]) == (2e-4, 3e-4)
+        assert row["runs_call_s"] == [2e-4] * bench_rows.REPEATS
+        assert "wall_s" not in row
+    assert report["parent"]["src_lines"] == bench_rows.src_lines(ROOT)

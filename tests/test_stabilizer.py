@@ -17,6 +17,7 @@ from helpers import (
     all_labeled_graphs,
     connected_graphs,
     dense_of,
+    edge_index_pairs,
     element,
     generator,
     graph_from_edge_mask,
@@ -155,6 +156,20 @@ class TestClosedForm:
             b = bell_terms(g)
             for subset in range(1 << n):
                 assert term_of(b, subset) == element(g, subset)
+
+    def test_top_of_the_range(self):
+        # at n = 20 the high word of the doubling array holds lower-neighbour
+        # masks up to vertex 19's, bits 32..50; {18, 19} sets bit 50
+        rng = random.Random(20)
+        n = 20
+        edges = [(i, j) for i, j in edge_index_pairs(n) if rng.random() < 0.5] + [(18, 19)]
+        g = from_edges(n, edges)
+        b = bell_terms(g)
+        assert len(b) == 1 << n
+        subsets = [0, (1 << n) - 1, 1 << 19, 0b11 << 18]
+        subsets += [rng.getrandbits(n) for _ in range(200)]
+        for subset in subsets:
+            assert term_of(b, subset) == element(g, subset)
 
     def test_column_dtypes(self):
         b = bell_terms(build_family(GraphFamily.RING_CLUSTER, 6))
