@@ -13,16 +13,22 @@ medians over 5 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
 
-The ``call-*`` rows time the engine call itself, without start-up: each
-run's child builds a ring-cluster graph, calls ``classical_bound`` until
-the calls take 0.2 s, then reports the best per-call time of 5 such loops
-(``timeit``). The row's ``call_s`` is the median of those bests.
+The ``call-*`` rows time one library call itself, without start-up: each
+run's child builds a ring-cluster graph, calls the function the row names
+(``classical_bound``, ``quantum_bell_value`` or
+``projector_identity_residual``) until the calls take 0.2 s, then reports
+the best per-call time of 5 such loops (``timeit``). The oracle's calls
+after the first reuse its cached state, as the checks of one graph do. The
+row's ``call_s`` is the median of those bests.
 
-With ``--parent``, each row's runs alternate between that checkout and this
-one, and the side that runs first swaps from one round to the next, so that a
-drift of the host between runs, or a cold first run, falls on both trees
-alike. The row then also holds the parent's medians under ``parent_*`` keys,
-and the file the parent's commit and line count.
+A row also records the quartiles of its runs. With ``--parent``, each row's
+runs alternate between that checkout and this one, and the side that runs
+first swaps from one round to the next, so that a drift of the host between
+runs, or a cold first run, falls on both trees alike. The row then also
+holds the parent's medians and quartiles under ``parent_*`` keys, and the
+file the parent's commit and line count. A row whose two medians differ by
+no more than the parent's interquartile range is marked ``unresolved``: its
+runs spread too widely to tell the two sides apart.
 
 The file is written at the root of the checkout. Standard library only; the
 exit status is 1 if any run did not exit 0.
@@ -57,17 +63,21 @@ ROWS = {
     "compose-fc-20": ["graphbell", "compose", "--family", "fc", "--n", "20"],
     "compose-rc-31": ["graphbell", "compose", "--family", "rc", "--n", "31"],
     "tier1": ["pytest", "-q", "--continue-on-collection-errors"],
-    **{f"call-rc-{n}": ["call", "rc", str(n)] for n in (4, 6, 8, 9, 12)},
+    **{f"call-rc-{n}": ["call", "classical_bound", "rc", str(n)] for n in (4, 6, 8, 9, 12)},
+    "call-qbv-rc-12": ["call", "quantum_bell_value", "rc", "12"],
+    "call-proj-rc-10": ["call", "projector_identity_residual", "rc", "10"],
 }
+CALLS = ("classical_bound", "quantum_bell_value", "projector_identity_residual")
 CALL_REPEATS = 5  # timed loops per call-row run; the run reports the best
 
 
-def time_call(family: str, n: int) -> float:
-    """Best seconds of one ``classical_bound`` call on a family graph, in this process."""
-    from graphbell import GraphFamily, build_family, classical_bound
+def time_call(function: str, family: str, n: int) -> float:
+    """Best seconds of one call of a graphbell function on a family graph, in this process."""
+    import graphbell
 
-    g = build_family(GraphFamily(family), n)
-    timer = timeit.Timer(lambda: classical_bound(g))
+    g = graphbell.build_family(graphbell.GraphFamily(family), n)
+    call = getattr(graphbell, function)
+    timer = timeit.Timer(lambda: call(g))
     number, _ = timer.autorange()  # its first call is the warm-up
     return min(timer.repeat(CALL_REPEATS, number)) / number
 
@@ -110,17 +120,25 @@ def time_row(argv: list[str], roots: list[Path], repeats: int) -> list[list[tupl
 
 
 def summary(runs: list[tuple[float, float, int]], prefix: str = "", time_key: str = "wall_s") -> dict:
-    """Median seconds and peak RSS of one row's runs in one checkout.
+    """Median and quartiles of the seconds, and median peak RSS, of one row's runs in one checkout.
 
     ``time_key`` names the seconds: ``wall_s`` in milliseconds, or ``call_s``,
     for a call row, in tenths of a microsecond.
     """
     times, rss, codes = zip(*runs)
     digits = 7 if time_key == "call_s" else 3
+    q1, _, q3 = statistics.quantiles(times, n=4)
     return {f"{prefix}{time_key}": round(statistics.median(times), digits),
+            f"{prefix}quartiles_{time_key}": [round(q1, digits), round(q3, digits)],
             f"{prefix}peak_rss_mb": round(statistics.median(rss), 1),
             f"{prefix}runs_{time_key}": [round(t, digits) for t in times],
             f"{prefix}exit_codes": list(codes)}
+
+
+def unresolved(row: dict, time_key: str) -> bool:
+    """True iff the row's two medians differ by no more than the parent's interquartile range."""
+    q1, q3 = row[f"parent_quartiles_{time_key}"]
+    return abs(row[time_key] - row[f"parent_{time_key}"]) <= q3 - q1
 
 
 def src_lines(root: Path = ROOT) -> int:
@@ -146,12 +164,15 @@ def main() -> int:
     parser.add_argument("--label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--parent", type=Path,
                         help="a checkout to time against, its runs alternating with this one's")
-    parser.add_argument("--call", nargs=2, metavar=("FAMILY", "N"),
-                        help="print the best seconds of one classical_bound call on that family "
-                             "graph and exit (the child of a call row)")
+    parser.add_argument("--call", nargs=3, metavar=("FUNCTION", "FAMILY", "N"),
+                        help=f"print the best seconds of one call of FUNCTION (one of "
+                             f"{', '.join(CALLS)}) on that family graph and exit (the child "
+                             f"of a call row)")
     args = parser.parse_args()
     if args.call is not None:
-        print(time_call(args.call[0], int(args.call[1])))
+        if args.call[0] not in CALLS:
+            parser.error(f"--call times one of {', '.join(CALLS)}, not {args.call[0]}")
+        print(time_call(args.call[0], args.call[1], int(args.call[2])))
         return 0
     if args.label is None:
         parser.error("--label is required")
@@ -166,11 +187,13 @@ def main() -> int:
         rows[name] = {"argv": argv, **summary(runs, time_key=key)}
         if parent_runs:
             rows[name].update(summary(parent_runs[0], "parent_", key))
+            rows[name]["unresolved"] = unresolved(rows[name], key)
         codes = {code for tree_runs in (*parent_runs, runs) for *_, code in tree_runs}
         failed |= codes != {0}
-        line = f"{name:14s} {rows[name][key]:8.4g} s {rows[name]['peak_rss_mb']:8.1f} MB"
+        line = f"{name:15s} {rows[name][key]:8.4g} s {rows[name]['peak_rss_mb']:8.1f} MB"
         if parent_runs:
             line += f"  (parent {rows[name]['parent_' + key]:.4g} s {rows[name]['parent_peak_rss_mb']:.1f} MB)"
+            line += "  unresolved" if rows[name]["unresolved"] else ""
         print(f"{line}  exit {sorted(codes)}", flush=True)
     report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
               "repeats": REPEATS}

@@ -18,6 +18,8 @@ def main() -> int:
     parser.add_argument("--max-length", type=int, default=60)
     parser.add_argument("--step", type=int, default=5)
     args = parser.parse_args()
+    if args.step < 1:
+        parser.error(f"--step must be at least 1, got {args.step}")
 
     print(f"{'length':>6s}  {'bound on d':>14s}  {'1/d at least':>14s}")
     for length in range(5, args.max_length + 1, args.step):

@@ -2,10 +2,12 @@
 
 Everything here is direct, on amplitude arrays and term-mask arrays: build the
 graph state (4096 or fewer real amplitudes) by doubling over the vertices,
-once per graph, evaluate <B> by row-shifted products of the state viewed as a
-matrix, and check the eigenvalue equations, the projector identity and
-Schmidt spectra numerically. The oracle exists for trust, not scale; the
-dense cap keeps calls sub-second.
+once per graph, and check the eigenvalue equations and Schmidt spectra
+numerically. Terms are applied by one route: the row-shifted products
+conj(psi[idx ^ x]) psi[idx] of the state viewed as a matrix, a block of terms
+at a time. <B> and the projector identity are two reductions of these
+blocks, each in O(block * 2^n) memory; no 4^n matrix is built. The oracle
+exists for trust, not scale; the dense cap keeps calls sub-second.
 
 Qubit ordering is little-endian throughout: qubit 0 is the least significant
 bit of the amplitude index.
@@ -95,15 +97,15 @@ def check_stabilized(g: Graph) -> float:
     return worst
 
 
-def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:
-    """Sum of Re<psi|t|psi> over the terms t, for a block of terms per numpy call.
+def _term_blocks(b: BellOperator, amplitudes: np.ndarray):
+    """Yield (t, p, lo, hi) for each block of terms t, in 256 KiB of real rows.
 
-    <psi|t|psi> = sign i^|x&z| sum_idx conj(psi[idx^x]) psi[idx] (-1)^popcount(idx&z).
-    With psi viewed as the matrix m[h, l] over the high bits and the low n//2
-    bits of idx, conj(psi[idx^x]) is conj(m)[h ^ x_hi, l ^ x_lo]: the terms are
+    p[k, h, l] = conj(psi[idx ^ x]) psi[idx] for term t[k], with psi viewed as
+    the matrix m[h, l] over the high bits and the low n//2 bits of idx, so
+    that conj(psi[idx ^ x]) is conj(m)[h ^ x_hi, l ^ x_lo]: the terms are
     grouped by x_lo, each group permutes the columns once, and each term then
-    takes whole rows. The parity splits as chi_lo[z_lo, l] chi_hi[z_hi, h]: a
-    batched matmul, then a row-wise dot. Real states stay real throughout.
+    takes whole rows. The term's Z parity (-1)^popcount(idx & z) splits as
+    lo[k, l] hi[k, h], rows of two half-width +-1 tables. Real states stay real.
     """
     low = b.n // 2
     chi_lo, chi_hi = (np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
@@ -115,17 +117,31 @@ def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:
     order = np.argsort(x_lo, kind="stable")
     starts = np.flatnonzero(np.diff(x_lo[order], prepend=-1)).tolist() + [len(b)]
     block = max(1, _BATCH_BYTES // amplitudes.nbytes)  # a term's taken rows are as big as the state
-    sums = np.empty(len(b), dtype=amplitudes.dtype)
     for start, stop in zip(starts, starts[1:]):
         shifted = conj[:, cols ^ x_lo[order[start]]]
         for first in range(start, stop, block):
             t = order[first : min(first + block, stop)]
             taken = np.take(shifted, rows ^ (x[t] >> low)[:, None], axis=0)
             taken *= m
-            partial = np.matmul(taken, chi_lo[z_lo[t], :, None])[:, :, 0]
-            sums[t] = np.einsum("th,th->t", partial, chi_hi[z[t] >> low])
-    weights = b.signs * _PHASES[np.bitwise_count(x & z) & 3]
-    return float(np.real(weights @ sums))
+            yield t, taken, chi_lo[z_lo[t]], chi_hi[z[t] >> low]
+
+
+def _weights(b: BellOperator) -> np.ndarray:
+    """Each term's coefficient w = sign i^|x&z|, the phase that makes its X^x Z^z Hermitian."""
+    return b.signs * _PHASES[np.bitwise_count(b.x_masks & b.z_masks) & 3]
+
+
+def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:
+    """Sum of Re<psi|t|psi> over the terms t, for a block of terms per numpy call.
+
+    <psi|t|psi> = w_t sum_idx conj(psi[idx^x]) psi[idx] (-1)^popcount(idx&z):
+    for each block of ``_term_blocks``, a batched matmul with the low parity
+    rows, then a row-wise dot with the high ones.
+    """
+    sums = np.empty(len(b), dtype=amplitudes.dtype)
+    for t, p, lo, hi in _term_blocks(b, amplitudes):
+        sums[t] = np.einsum("th,th->t", np.matmul(p, lo[:, :, None])[:, :, 0], hi)
+    return float(np.real(_weights(b) @ sums))
 
 
 def quantum_bell_value(g: Graph) -> float:
@@ -137,26 +153,21 @@ def quantum_bell_value(g: Graph) -> float:
     return _expectation(bell_terms(g), state.amplitudes)
 
 
-def operator_matrix(b: BellOperator) -> np.ndarray:
-    """Dense matrix of a term-list operator, scattered term by term in O(4^n).
-
-    Term (x, z, sign) maps |idx> to sign i^|x&z| (-1)^popcount(idx & z) |idx ^ x>.
-    """
-    idx = np.arange(1 << b.n)
-    total = np.zeros((idx.size, idx.size), dtype=complex)
-    x, z = b.x_masks.astype(np.intp), b.z_masks.astype(np.intp)
-    weights = b.signs * _PHASES[np.bitwise_count(x & z) & 3]
-    for xm, zm, w in zip(x, z, weights):
-        total[idx ^ xm, idx] += w * np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
-    return total
-
-
 def projector_identity_residual(g: Graph) -> float:
-    """Entrywise residual of (sum of all stabilizer elements) - 2^n |G><G|."""
-    state = statevector(g)
-    projector = np.outer(state.amplitudes, state.amplitudes.conj())
-    diff = operator_matrix(bell_terms(g)) - (1 << g.n) * projector
-    return float(np.max(np.abs(diff)))
+    """Entrywise residual of (sum of all stabilizer elements) - 2^n |G><G|.
+
+    Column j of the term sum holds w chi_z(j) at row j ^ x, one term per row
+    (the x masks of ``bell_terms`` are the 2^n subsets, each once). There
+    2^n |G><G| holds 2^n psi[j ^ x] conj(psi[j]) = 2^n conj(p), with p from
+    ``_term_blocks``, so the entries are compared a block of terms at a time.
+    """
+    state = statevector(g)  # refuses n > DENSE_CAP before the 2^n terms are built
+    b = bell_terms(g)
+    weights, scale, worst = _weights(b), float(1 << g.n), 0.0
+    for t, p, lo, hi in _term_blocks(b, state.amplitudes):
+        terms = weights[t, None, None] * (hi[:, :, None] * lo[:, None, :])
+        worst = max(worst, float(np.max(np.abs(terms - scale * p.conj()))))
+    return worst
 
 
 def schmidt_profile(g: Graph, bipartition: int) -> SchmidtProfile:

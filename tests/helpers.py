@@ -8,9 +8,11 @@ The dense Pauli matrices here are built independently of the package's
 oracle module, the scalar Pauli product independently of the closed-form
 ``bell_terms``, the LHV scan independently of its transform engine, the
 term-by-term <B> independently of the oracle's batched expectation, the
-edge-by-edge graph state independently of the oracle's doubling build, and
-the Schmidt rank from the GF(2) rank of a cut's adjacency block, so that
-tests have a second route to the same answer.
+4^n operator matrix and its projector residual independently of the
+oracle's blocks of term products, the edge-by-edge graph state
+independently of the oracle's doubling build, and the Schmidt rank from the
+GF(2) rank of a cut's adjacency block, so that tests have a second route to
+the same answer.
 """
 
 from __future__ import annotations
@@ -144,6 +146,26 @@ def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
     out = np.empty_like(amplitudes, dtype=complex)  # i-phased terms take real states to complex
     out[idx ^ p.x_mask] = coeff * amplitudes
     return out
+
+
+def operator_matrix(b: BellOperator) -> np.ndarray:
+    """Dense matrix of a term-list operator, scattered term by term in O(4^n).
+
+    Term (x, z, sign) maps |idx> to sign i^|x&z| (-1)^popcount(idx & z) |idx ^ x>.
+    """
+    idx = np.arange(1 << b.n)
+    total = np.zeros((idx.size, idx.size), dtype=complex)
+    x, z = b.x_masks.astype(np.intp), b.z_masks.astype(np.intp)
+    weights = b.signs * np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) & 3]
+    for xm, zm, w in zip(x, z, weights):
+        total[idx ^ xm, idx] += w * np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
+    return total
+
+
+def dense_projector_residual(b: BellOperator, amplitudes: np.ndarray) -> float:
+    """Entrywise max of |(sum of the terms) - 2^n |psi><psi||, as two 4^n matrices."""
+    projector = np.outer(amplitudes, amplitudes.conj())
+    return float(np.max(np.abs(operator_matrix(b) - (1 << b.n) * projector)))
 
 
 def gf2_rank(rows) -> int:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,18 @@ from graphbell import (
 )
 from graphbell import oracle
 from graphbell.graph import iter_bits
-from graphbell.oracle import _expectation, operator_matrix
+from graphbell.oracle import _expectation
 from graphbell.stabilizer import apply_permutation
 from helpers import (
     PauliString,
     apply_pauli,
     connected_graphs,
     dense_of,
+    dense_projector_residual,
     generator,
     gf2_rank,
     graph_from_edge_mask,
+    operator_matrix,
     pauli_strings,
     random_connected_graph,
     reference_bell_value,
@@ -254,11 +257,76 @@ class TestBatchedExpectation:
             quantum_bell_value(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
 
+def one_term_corrupted(flip: str):
+    """A ``bell_terms`` stand-in that flips one term's sign, or one bit of its Z mask.
+
+    The Z bit is one outside the term's X mask, so the phase i^|x&z| stays
+    and the term differs from the true one by a sign on half the columns.
+    """
+    def corrupted(g):
+        b = bell_terms(g)
+        rng = random.Random(g.n)
+        signs, z_masks = b.signs.copy(), b.z_masks.copy()
+        if flip == "sign":
+            signs[rng.randrange(len(b))] *= -1
+        else:
+            j = rng.choice(np.flatnonzero(b.x_masks != g.vertex_mask).tolist())
+            z_masks[j] ^= 1 << rng.choice([k for k in range(g.n) if not b.x_masks[j] >> k & 1])
+        return BellOperator(b.n, b.x_masks, z_masks, signs)
+
+    return corrupted
+
+
 class TestProjectorIdentity:
     @pytest.mark.parametrize("fam", GraphFamily)
     @pytest.mark.parametrize("n", range(2, 7))
     def test_families_dense(self, fam, n):
         assert projector_identity_residual(build_family(fam, n)) < 1e-9
+
+    @pytest.mark.parametrize("flip, lost", [("sign", 2), ("z bit", 1)])
+    @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 5),
+                                        (GraphFamily.RING_CLUSTER, 8),
+                                        (GraphFamily.STAR, 12)])
+    def test_one_corrupted_term_is_caught(self, monkeypatch, fam, n, flip, lost):
+        # a flipped sign negates one term; a flipped Z bit leaves the
+        # stabilizer group, so the term's expectation drops from 1 to 0
+        monkeypatch.setattr(oracle, "bell_terms", one_term_corrupted(flip))
+        g = build_family(fam, n)
+        assert projector_identity_residual(g) == pytest.approx(2.0, abs=1e-12)
+        assert quantum_bell_value(g) == pytest.approx((1 << n) - lost, abs=1e-9)
+
+    @pytest.mark.parametrize("terms_per_block", [None, 1])
+    def test_matches_dense_residual(self, monkeypatch, terms_per_block):
+        rng = random.Random(1919)
+        gs = [SINGLE] + [graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+                         for n in range(2, 9) for _ in range(3)]
+        for g in gs:
+            amps = statevector(g).amplitudes
+            if terms_per_block is not None:
+                monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
+            for terms in (bell_terms, one_term_corrupted("sign"), one_term_corrupted("z bit")):
+                monkeypatch.setattr(oracle, "bell_terms", terms)
+                dense = dense_projector_residual(terms(g), amps)
+                assert projector_identity_residual(g) == pytest.approx(dense, abs=1e-12)
+
+    def test_cap_refused_before_terms_are_built(self, monkeypatch):
+        def never(g):
+            raise AssertionError("bell_terms called above the dense cap")
+
+        monkeypatch.setattr(oracle, "bell_terms", never)
+        with pytest.raises(CapExceededError):
+            projector_identity_residual(build_family(GraphFamily.LINEAR_CLUSTER, 13))
+
+    def test_memory_stays_in_blocks_at_rc12(self):
+        # the 4^n operator and projector alone would be 2 x 256 MiB
+        g = build_family(GraphFamily.RING_CLUSTER, 12)
+        tracemalloc.start()
+        try:
+            assert projector_identity_residual(g) < 1e-9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_operator_matrix_is_term_sum(self):
         operators = [

@@ -1,10 +1,13 @@
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from graphbell import chain_bound
 
@@ -25,6 +28,18 @@ def test_chain_growth_demo_prints_chain_bounds():
     for row in rows:
         length, bound, _ = row.split()
         assert Fraction(bound) == chain_bound(int(length))
+
+
+def test_chain_growth_demo_refuses_a_step_below_one():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for step in ("0", "-5"):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "chain_growth_demo.py"), "--step", step],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 2
+        assert "--step must be at least 1" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def load_bench_rows():
@@ -56,7 +71,7 @@ def test_bench_rows_alternates_between_checkouts(monkeypatch):
     parent, child = bench_rows.time_row(bench_rows.ROWS["bound-rc-10"], [ROOT.parent, ROOT], 3)
     assert calls == [ROOT.parent, ROOT, ROOT, ROOT.parent, ROOT.parent, ROOT]
     assert bench_rows.summary(parent, "parent_") == {
-        "parent_wall_s": 2.0, "parent_peak_rss_mb": 30.0,
+        "parent_wall_s": 2.0, "parent_quartiles_wall_s": [2.0, 2.0], "parent_peak_rss_mb": 30.0,
         "parent_runs_wall_s": [2.0] * 3, "parent_exit_codes": [0] * 3}
     assert bench_rows.summary(child)["wall_s"] == 1.0
 
@@ -64,10 +79,28 @@ def test_bench_rows_alternates_between_checkouts(monkeypatch):
 def test_bench_rows_call_row_child_reports_one_call():
     bench_rows = load_bench_rows()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert bench_rows.ROWS["call-rc-4"] == ["call", "classical_bound", "rc", "4"]
     seconds, rss, code = bench_rows.run_once(bench_rows.ROWS["call-rc-4"], env)
     assert code == 0
     assert 0 < seconds < 0.05  # one call on a 4-vertex ring, not the process
     assert rss > 0
+
+
+def test_bench_rows_times_each_named_function(monkeypatch):
+    bench_rows = load_bench_rows()
+    monkeypatch.setattr(bench_rows, "CALL_REPEATS", 1)
+    assert {argv[1] for argv in bench_rows.ROWS.values() if argv[0] == "call"} == set(bench_rows.CALLS)
+    for function in bench_rows.CALLS[1:]:  # the child test above times classical_bound
+        assert 0 < bench_rows.time_call(function, "rc", 4) < 0.05
+
+
+def test_bench_rows_call_child_refuses_other_functions(monkeypatch, capsys):
+    bench_rows = load_bench_rows()
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--call", "bridge_compose_bound", "rc", "4"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_rows.main()
+    assert exit_info.value.code == 2
+    assert "--call times one of classical_bound" in capsys.readouterr().err
 
 
 def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
@@ -85,10 +118,40 @@ def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--label", "t", "--parent", str(ROOT)])
     assert bench_rows.main() == 0
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12"]
-    assert len(calls) == 5 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
+    assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12",
+                                    "call-qbv-rc-12", "call-proj-rc-10"]
+    assert len(calls) == 7 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
     for row in report["rows"].values():
         assert (row["call_s"], row["parent_call_s"]) == (2e-4, 3e-4)
         assert row["runs_call_s"] == [2e-4] * bench_rows.REPEATS
+        assert row["parent_quartiles_call_s"] == [3e-4, 3e-4]
+        assert row["unresolved"] is False
         assert "wall_s" not in row
     assert report["parent"]["src_lines"] == bench_rows.src_lines(ROOT)
+
+
+def test_bench_rows_marks_rows_whose_runs_spread_past_the_gap(monkeypatch, tmp_path, capsys):
+    bench_rows = load_bench_rows()
+    # parent runs 1.0..1.6 s: median 1.2, quartiles 1.05 and 1.5 (exclusive method)
+    runs = {"wide": {ROOT: itertools.cycle([1.0, 1.4, 1.2, 1.6, 1.1]),
+                     tmp_path: itertools.cycle([1.1] * 5)},
+            "narrow": {ROOT: itertools.cycle([1.19, 1.2, 1.21, 1.2, 1.2]),
+                       tmp_path: itertools.cycle([1.1] * 5)}}
+
+    def fake_run(argv, env, root):
+        return next(runs[argv[1]][root]), 30.0, 0
+
+    monkeypatch.setattr(bench_rows, "run_once", fake_run)
+    monkeypatch.setattr(bench_rows, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_rows, "ROWS", {"wide": ["graphbell", "wide"],
+                                             "narrow": ["graphbell", "narrow"]})
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--label", "t", "--parent", str(ROOT)])
+    assert bench_rows.main() == 0
+    rows = json.loads((tmp_path / "BENCH_t.json").read_text())["rows"]
+    assert rows["wide"]["parent_quartiles_wall_s"] == [1.05, 1.5]
+    assert (rows["wide"]["wall_s"], rows["wide"]["parent_wall_s"]) == (1.1, 1.2)
+    assert rows["wide"]["unresolved"] is True
+    assert rows["narrow"]["unresolved"] is False
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wide") and lines[0].split()[-3] == "unresolved"
+    assert lines[1].startswith("narrow") and "unresolved" not in lines[1]
