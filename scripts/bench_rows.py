@@ -63,7 +63,7 @@ ROWS = {
     "compose-fc-20": ["graphbell", "compose", "--family", "fc", "--n", "20"],
     "compose-rc-31": ["graphbell", "compose", "--family", "rc", "--n", "31"],
     "tier1": ["pytest", "-q", "--continue-on-collection-errors"],
-    **{f"call-rc-{n}": ["call", "classical_bound", "rc", str(n)] for n in (4, 6, 8, 9, 12)},
+    **{f"call-rc-{n}": ["call", "classical_bound", "rc", str(n)] for n in (4, 6, 8, 9, 12, 14)},
     "call-qbv-rc-12": ["call", "quantum_bell_value", "rc", "12"],
     "call-proj-rc-10": ["call", "projector_identity_residual", "rc", "10"],
 }
@@ -170,9 +170,20 @@ def main() -> int:
                              f"of a call row)")
     args = parser.parse_args()
     if args.call is not None:
-        if args.call[0] not in CALLS:
-            parser.error(f"--call times one of {', '.join(CALLS)}, not {args.call[0]}")
-        print(time_call(args.call[0], args.call[1], int(args.call[2])))
+        function, family, n = args.call
+        if function not in CALLS:
+            parser.error(f"--call times one of {', '.join(CALLS)}, not {function}")
+        import graphbell
+
+        families = [f.value for f in graphbell.GraphFamily]
+        if family not in families:
+            parser.error(f"--call FAMILY is one of {', '.join(families)}, not {family}")
+        if not n.isdigit():
+            parser.error(f"--call N is a vertex count, not {n}")
+        try:
+            print(time_call(function, family, int(n)))
+        except (graphbell.InvalidGraphError, graphbell.CapExceededError) as exc:
+            parser.error(f"--call {function} {family} {n}: {exc}")
         return 0
     if args.label is None:
         parser.error("--label is required")

@@ -29,14 +29,27 @@ now outer. No butterfly run is shorter than rows * 2^(width // 2), and a
 maximum's position is read back through a table, per swapped key, of the
 packed (neg_x, neg_y, neg_z) it stands for at e = 0.
 
-The first batch, rows e < 2^row_bits, is one gather and one multiply:
-merged[key] * H[y(key) mod 2^row_bits, e], with H the Sylvester table
-H[a, e] = (-1)^<a, e>, built once per row count in int8 and read-only.
-Batch `base` is the first times (-1)^<y(key), base>, one sign per key.
+Batch `base`, the rows base <= e < base + 2^row_bits, is
+chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = merged[key] *
+(-1)^<y(key), base> and H the Sylvester table H[a, e] = (-1)^<a, e>, built
+once per row count and type and read-only. It is written in place: the rows
+of H are gathered into the batch, which is then multiplied by chi, one sign
+per key. A search of one batch multiplies the gathered int8 rows by merged.
+
+Phase B only adds and subtracts the cells of one column (k_hi, e) of phase
+A's result, over key_lo, so the sum of their magnitudes bounds every value
+the column ends in. Once a Z-pinned search has a positive running maximum,
+each later batch takes that bound after phase A and drops the columns below
+the maximum: they can hold neither a maximum nor a tie of it. When at most
+1/_LIVE_SHARE of the columns are left (about 1% are in the later batches of
+a 12-vertex family graph), only they are gathered, [key_lo, live], and
+finished; otherwise the whole batch goes through phase B. In the 8^n space
+the key halves are x and z, and no column is ever dropped, so no bound is
+taken.
 
 The buffers of a batch shape, their butterfly and swap views and the
 tie-break tables make a plan. Each thread keeps its last _PLAN_CACHE_SIZE
-plans of at most _BATCH_BYTES for reuse, so at most 2 MiB a thread; with
+plans of at most _PLAN_BYTES for reuse, so at most 2 MiB a thread; with
 these constants that covers every Z-pinned search of a graph with up to 8
 vertices, each one batch. A larger plan is built for its one call.
 
@@ -69,13 +82,17 @@ from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, bell_terms
 
 SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14 pinned and 8^9 unpinned
-_BATCH_BYTES = 1 << 18  # one batch of rows stays in a core's cache
+# one batch of rows stays in a core's cache; pinned, n = 11 runs 128 rows a batch and n = 12
+# runs 64, so their phase-A butterflies run along 4096 cells or more
+_BATCH_BYTES = 1 << 19
 # a power of two: a batch has this many rows or more when the search has them, and they are
 # the contiguous run of its chi multiply and phase copy; numpy's loop buffers runs that short,
 # which is why the butterflies run in two phases, on runs of rows * 2^(width // 2) or more
 _MIN_BATCH_ROWS = 16
 _SIGNS = np.array([1, -1], dtype=np.int8)
-_PLAN_CACHE_SIZE = 8  # plans kept per thread, each of at most _BATCH_BYTES: 2 MiB a thread
+_PLAN_BYTES = 1 << 18  # the largest plan kept: every Z-pinned one of up to 8 vertices
+_PLAN_CACHE_SIZE = 8  # plans kept per thread, each of at most _PLAN_BYTES: 2 MiB a thread
+_LIVE_SHARE = 8  # a batch finishes its live columns alone when at most 1/8 of them are live
 
 METHOD_EXHAUSTIVE = "exhaustive"
 
@@ -142,9 +159,9 @@ def search_space(n: int, pin_z: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hadamard(bits: int) -> np.ndarray:
-    """The read-only Sylvester table H[a, e] = (-1)^<a, e> over a, e < 2^bits, in int8."""
-    table = np.ones((1, 1), dtype=np.int8)
+def _hadamard(bits: int, dtype) -> np.ndarray:
+    """The read-only Sylvester table H[a, e] = (-1)^<a, e> over a, e < 2^bits."""
+    table = np.ones((1, 1), dtype=dtype)
     for _ in range(bits):  # doubling: [[H, H], [H, -H]]
         table = np.block([[table, table], [table, -table]])
     table.flags.writeable = False
@@ -156,10 +173,12 @@ class _Plan(NamedTuple):
 
     batch: np.ndarray  # [key, e]: where a batch is written
     phase_a: list
-    halves: np.ndarray
+    halves: np.ndarray  # [key_lo, k_hi, e]: phase A's result, a view of its [k_hi, key_lo, e]
+    magnitudes: np.ndarray  # laid out as halves, in the other buffer: where |halves| is taken
     swapped: np.ndarray
     phase_b: list
     out: np.ndarray  # [swapped key, e], flat: where its transform ends
+    ties: np.ndarray  # bool, flat, in the buffer that does not hold out: where out is maximal
     lex: np.ndarray  # the packed (neg_x, neg_y, neg_z) of each swapped key at e = 0
     lex_e: np.ndarray  # what e adds to it, for every transformed e
 
@@ -172,7 +191,11 @@ class _Plan(NamedTuple):
 def _build_plan(n: int, width: int, half: bool, row_bits: int, dtype) -> _Plan:
     size, rows = 1 << width, 1 << row_bits
     twin = (1 << n) - 1 if half else 0
-    bufs = (np.empty(size * rows, dtype=dtype), np.empty(size * rows, dtype=dtype))
+    # one block, so that the two buffers lie a whole number of pages apart: two heap blocks lie
+    # 16 bytes off that, and then a butterfly's stores alias (4 KiB apart) the loads it makes
+    # next, which made an unpinned batch of 8^9 about 40% slower
+    both = np.empty(2 * size * rows, dtype=dtype)
+    bufs = (both[: size * rows], both[size * rows :])
 
     def butterflies(levels, first):
         # level k adds and subtracts cells rows << k apart; each level reads
@@ -208,9 +231,11 @@ def _build_plan(n: int, width: int, half: bool, row_bits: int, dtype) -> _Plan:
         batch=bufs[0].reshape(size, rows),
         phase_a=butterflies(range(lo, width), 0),
         halves=bufs[hi % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2),
+        magnitudes=bufs[(hi + 1) % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2),
         swapped=bufs[(hi + 1) % 2].reshape(1 << lo, 1 << hi, rows),
         phase_b=butterflies(range(hi, width), hi + 1),
         out=bufs[(width + 1) % 2],
+        ties=bufs[width % 2].view(np.bool_)[: size * rows],
         lex=lex,
         lex_e=np.arange(1 << (n - half), dtype=np.int32) << z_bits,
     )
@@ -229,7 +254,7 @@ _plans = _PlanCache()
 def _plan(*key) -> _Plan:
     """The plan of (n, width, half, row_bits, dtype): from this thread's cache, or built.
 
-    A plan of at most _BATCH_BYTES is kept, the least recently used one
+    A plan of at most _PLAN_BYTES is kept, the least recently used one
     leaving when there are more than _PLAN_CACHE_SIZE; a larger one serves
     one call.
     """
@@ -239,7 +264,7 @@ def _plan(*key) -> _Plan:
         plans.move_to_end(key)
         return plan
     plan = _build_plan(*key)
-    if plan.nbytes <= _BATCH_BYTES:
+    if plan.nbytes <= _PLAN_BYTES:
         plans[key] = plan
         if len(plans) > _PLAN_CACHE_SIZE:
             plans.popitem(last=False)
@@ -286,32 +311,63 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     plan = _plan(n, width, half, row_bits, dtype)
     batch, out = plan.batch, plan.out
     batches = range(0, 1 << (n - half), rows)
-    # the rows of e < rows are merged[key] * H[y(key), e], and batch `base` is
-    # them times (-1)^<y(key), base>, a broadcast along e
-    base_rows = np.multiply(_hadamard(row_bits).take(y_of_key & (rows - 1), axis=0),
-                            merged[:, None], out=batch if len(batches) == 1 else None)
-    if base_rows is not batch:
+    if len(batches) == 1:  # merged[key] * H[y(key), e]
+        np.multiply(_hadamard(row_bits, np.int8).take(y_of_key & (rows - 1), axis=0),
+                    merged[:, None], out=batch)
+    else:  # batch `base` is chi[key] * H[y(key) mod rows, e], chi = merged * (-1)^<y(key), base>
+        table = _hadamard(row_bits, dtype)  # in the row type: take(out=batch) casts no type
+        y_lo = (y_of_key & (rows - 1)).astype(np.intp)
         signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
         chi = np.empty(size, dtype=dtype)  # refilled in place: a new one per batch cost 3 MB RSS at 8^9
+    lo = width // 2
+    hi = width - lo
     z_bits = width - n
     best, best_key = -1, 0
     for base in batches:
-        if base_rows is not batch:
+        if len(batches) > 1:
             signs.take(np.bitwise_count(y_of_key & base) & 1, out=chi)
-            np.multiply(base_rows, chi[:, None], out=batch)
+            chi *= merged
+            table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
+            batch *= chi[:, None]
         for s0, s1, d0, d1 in plan.phase_a:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
-        np.copyto(plan.swapped, plan.halves)
-        for s0, s1, d0, d1 in plan.phase_b:
-            np.add(s0, s1, out=d0)
-            np.subtract(s0, s1, out=d1)
-        np.abs(out, out=out)
-        m = int(out.max())
-        if m < best:
-            continue
+        count = 0  # live columns, once the bound is taken
+        if pin_z and best > 0:
+            # phase B only adds and subtracts the cells of a column (k_hi, e), so the sum of
+            # their magnitudes bounds it; a column below best holds neither a maximum nor a tie
+            np.abs(plan.halves, out=plan.magnitudes)
+            live = np.einsum("lhe->he", plan.magnitudes) >= best  # sums in the row type
+            count = np.count_nonzero(live)
+            if count == 0:
+                continue
+        if 0 < count <= live.size // _LIVE_SHARE:  # finish the live columns alone, [key_lo, live]
+            k_hi, r = live.nonzero()
+            cells = np.ascontiguousarray(plan.halves[:, k_hi, r])  # the gather itself is [live, key_lo]
+            spare = np.empty_like(cells)
+            for k in range(lo):
+                src, dst = cells.reshape(-1, 2, count << k), spare.reshape(-1, 2, count << k)
+                np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+                np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+                cells, spare = spare, cells
+            np.abs(cells, out=cells)
+            m = int(cells.max())
+            if m < best:
+                continue
+            k_lo, i = (cells == m).nonzero()
+            cols, r = k_lo << hi | k_hi[i], r[i]
+        else:
+            np.copyto(plan.swapped, plan.halves)
+            for s0, s1, d0, d1 in plan.phase_b:
+                np.add(s0, s1, out=d0)
+                np.subtract(s0, s1, out=d1)
+            np.abs(out, out=out)
+            m = int(out.max())
+            if m < best:
+                continue
+            np.equal(out, m, out=plan.ties)
+            cols, r = np.divmod(plan.ties.nonzero()[0], rows)
         # the smallest packed (neg_x, neg_y, neg_z) among this batch's maxima
-        cols, r = np.divmod((out == m).nonzero()[0], rows)
         lex = plan.lex.take(cols)
         lex ^= plan.lex_e[base : base + rows].take(r)
         key = int(lex.min())

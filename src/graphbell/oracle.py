@@ -26,7 +26,7 @@ from .stabilizer import BellOperator, bell_terms
 
 DENSE_CAP = 12
 SCHMIDT_RANK_TOLERANCE = 1e-10
-_BATCH_BYTES = 1 << 18  # one block of taken rows, as in lhv
+_BATCH_BYTES = 1 << 18  # one block of taken rows
 _PHASES = np.array([1, 1j, -1, -1j])  # i^k, indexed by k mod 4
 
 

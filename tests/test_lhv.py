@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -371,7 +372,7 @@ class TestBatchLayout:
 
     @pytest.mark.parametrize("pin_z", [True, False])
     @pytest.mark.parametrize("batch_bytes, min_rows", [
-        (1 << 18, 16),  # the defaults: every search here is one batch
+        (1 << 19, 16),  # the defaults: every search here is one batch
         (1 << 8, 4),  # 128 cells: one batch up to width 3, 4 rows a batch from width 5
         (1, 2),  # 2 rows a batch
         (1, 1),  # 1 row a batch
@@ -400,8 +401,70 @@ class TestBatchLayout:
             assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
 
 
+def relabelled(g, rng: random.Random):
+    labels = list(range(g.n))
+    rng.shuffle(labels)
+    return from_edges(g.n, [(labels[i], labels[j]) for i, j in g.edges()])
+
+
+class TestPrunedBatches:
+    """After phase A, a pinned batch drops the columns whose bound is below the running maximum.
+
+    A column's final cells are signed sums of its phase-A cells, so a dropped
+    column holds neither a maximum nor a tie of it: c and the tie-break are
+    those of a search that finishes every column.
+    """
+
+    def test_tied_maxima_with_live_columns_alone_or_in_the_whole_batch(self, monkeypatch):
+        # batches of 2 to 4 rows; a _LIVE_SHARE of 1 always finishes the live columns alone, a
+        # huge one always sends the batch through phase B
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 8)
+        monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
+        rng = random.Random(20)
+        cases = [(bell_terms(relabelled(build_family(fam, n), rng)), True)
+                 for fam in (GraphFamily.FULLY_CONNECTED, GraphFamily.STAR, GraphFamily.RING_CLUSTER)
+                 for n in (5, 6, 8)]
+        # an X<->Y-permuted list has odd Y counts and is searched unpinned, where nothing is dropped
+        cases.append((apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)), 0,
+                                        "1YXZ"), False))
+        for b, pin_z in cases:
+            expected = reference_scan(b, pin_z=pin_z)
+            for share in (1, 8, 1 << 30):
+                monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", share)
+                c, argmax, _ = operator_bound(b, pin_z=pin_z)
+                assert (c, counter_index(argmax, b.n, pin_z)) == expected
+
+    def test_int32_rows_finish_their_live_columns(self, monkeypatch):
+        small_batches(monkeypatch)
+        monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", 1)
+        b = repeated_term("-YX", 40_000)
+        assert operator_bound(b, pin_z=True)[:2] == (40_000, ALL_PLUS)
+
+    def test_low_d_random_graphs_match_one_batch(self, monkeypatch):
+        # in batches of 4 rows, the second graph sends 52 batches through phase B with more than an
+        # eighth of their columns live, and every graph finishes live columns alone; the
+        # reference is the one-batch search, which drops nothing
+        rng = random.Random(0)
+        gs = [random_connected_graph(rng, n, extra_edge_prob=0.2) for n in (9, 10, 9, 10)]
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 21)  # one batch up to n = 10
+        whole = [operator_bound(bell_terms(g), pin_z=True) for g in gs]
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 12)
+        monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 4)
+        assert [operator_bound(bell_terms(g), pin_z=True) for g in gs] == whole
+
+    def test_rc12_traced_peak_stays_under_1_5_mib(self):
+        g = build_family(GraphFamily.RING_CLUSTER, 12)
+        tracemalloc.start()
+        try:
+            classical_bound(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20  # two 512 KiB batch buffers, no table of base rows
+
+
 class TestPlanReuse:
-    """Batch plans are kept per thread, at most _PLAN_CACHE_SIZE of at most _BATCH_BYTES each."""
+    """Batch plans are kept per thread, at most _PLAN_CACHE_SIZE of at most _PLAN_BYTES each."""
 
     def test_two_threads_match_serial_within_the_cache_bounds(self):
         rng = random.Random(16)
@@ -429,8 +492,8 @@ class TestPlanReuse:
         assert [result for result, *_ in results] == serial
         for _, count, sizes, _, _ in results:
             assert count <= lhv._PLAN_CACHE_SIZE
-            assert all(size <= lhv._BATCH_BYTES for size in sizes)
-            assert sum(sizes) <= lhv._PLAN_CACHE_SIZE * lhv._BATCH_BYTES <= 2 << 20
+            assert all(size <= lhv._PLAN_BYTES for size in sizes)
+            assert sum(sizes) <= lhv._PLAN_CACHE_SIZE * lhv._PLAN_BYTES <= 2 << 20
         assert max(count for _, count, *_ in results) == lhv._PLAN_CACHE_SIZE
         # each worker thread has a cache of its own, not the main thread's
         caches = {thread: cache for *_, thread, cache in results}

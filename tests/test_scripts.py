@@ -103,6 +103,23 @@ def test_bench_rows_call_child_refuses_other_functions(monkeypatch, capsys):
     assert "--call times one of classical_bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("call, message", [
+    (["classical_bound", "rc", "x"], "--call N is a vertex count, not x"),
+    (["classical_bound", "zz", "4"], "--call FAMILY is one of lc, rc, st, fc, not zz"),
+    (["classical_bound", "rc", "40"], "vertex count must be in 1..31"),
+    (["classical_bound", "rc", "20"], "over the 268435456-assignment limit"),
+    (["projector_identity_residual", "rc", "13"], "dense oracle capped at 12 qubits"),
+])
+def test_bench_rows_call_child_refuses_graphs_it_cannot_time(monkeypatch, capsys, call, message):
+    bench_rows = load_bench_rows()
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--call", *call])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_rows.main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
     bench_rows = load_bench_rows()
     calls = []
@@ -119,8 +136,8 @@ def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
     assert bench_rows.main() == 0
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12",
-                                    "call-qbv-rc-12", "call-proj-rc-10"]
-    assert len(calls) == 7 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
+                                    "call-rc-14", "call-qbv-rc-12", "call-proj-rc-10"]
+    assert len(calls) == 8 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
     for row in report["rows"].values():
         assert (row["call_s"], row["parent_call_s"]) == (2e-4, 3e-4)
         assert row["runs_call_s"] == [2e-4] * bench_rows.REPEATS
