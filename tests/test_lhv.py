@@ -373,6 +373,7 @@ class TestBatchLayout:
     @pytest.mark.parametrize("pin_z", [True, False])
     @pytest.mark.parametrize("batch_bytes, min_rows", [
         (1 << 19, 16),  # the defaults: every search here is one batch
+        (1 << 18, 16),  # half the default cap: still one batch for every search here
         (1 << 8, 4),  # 128 cells: one batch up to width 3, 4 rows a batch from width 5
         (1, 2),  # 2 rows a batch
         (1, 1),  # 1 row a batch
