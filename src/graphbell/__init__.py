@@ -48,7 +48,7 @@ from .oracle import (
     schmidt_profile,
     statevector,
 )
-from .stabilizer import BellOperator, apply_permutation, bell_terms
+from .stabilizer import BellOperator, bell_terms
 
 __all__ = [
     "Assignment",
@@ -63,7 +63,6 @@ __all__ = [
     "SchmidtProfile",
     "StateVector",
     "TreeCertificate",
-    "apply_permutation",
     "bell_terms",
     "bell_value",
     "bridge_compose_bound",

@@ -6,17 +6,29 @@ exact maximum of |<B(G)>| over all such assignments, and D(G) = C(G)/2^n.
 
 A term with X letters a, Y letters y and Z letters c has x_mask x = a|y and
 z_mask z = y|c. Under the assignment (neg_x, neg_y, neg_z) it takes the value
-sign * (-1)^(<x, neg_x> + <z, neg_z> + <y, e>) with e = neg_x ^ neg_y ^ neg_z,
-since <y, neg_x> and <y, neg_z> each appear twice in that exponent. The
-search key of a term is x<<n | z, and y = x & z is a function of the key.
-So for each e, the Bell values over (neg_x, neg_z) are one integer
-Walsh-Hadamard transform of the row merged[key] * (-1)^<y(key), e>, where
-merged sums the signs of the terms that share a key. The rows are
-transformed batch by batch with a running maximum, which covers every
-assignment exactly in a few batches of memory. When every term has an even
-number of Y letters, as every stabilizer element of a graph has, row e and
-row e ^ 1...1 are equal, so only the rows with e < 2^(n-1) are transformed;
-the twin of (neg_x, neg_y, neg_z) is (neg_x, neg_y ^ 1...1, neg_z).
+sign * (-1)^(<a, neg_x> + <y, neg_y> + <c, neg_z>). The search pins every Z
+setting to +1 (neg_z = 0), which is exact for graphs: a flip of Z on qubit v
+is absorbed by flips of Y on v and of X and Y on its neighbours N(v). That
+move, phi_v, keeps a term's value iff |a & N(v)| + |y & (N(v) | v)| +
+|c & v| is even. ``z_pinning_certified`` checks that for every term and
+every vertex; when it holds, every phi_v keeps the whole Bell value, and
+the moves phi_v for v in neg_z carry any assignment to one with neg_z = 0,
+so the 8^n maximum is the 4^n one. Every graph's term list passes: for
+term S (x = S, z = ΓS) the count is |S & N(v)| + [v in ΓS], and v is in
+ΓS exactly when |S & N(v)| is odd.
+
+With Z pinned a term takes the value sign * (-1)^(<x, neg_x> + <y, e>) with
+e = neg_x ^ neg_y, since <y, neg_x> appears twice in that exponent. The
+search key of a term is x, and y = x & z must be a function of the key, as
+it is for every stabilizer element of a graph (term S has x = S and z = ΓS).
+So for each e, the Bell values over neg_x are one integer Walsh-Hadamard
+transform of the row merged[key] * (-1)^<y(key), e>, where merged sums the
+signs of the terms that share a key. The rows are transformed batch by
+batch with a running maximum, which covers every assignment exactly in a
+few batches of memory. When every term has an even number of Y letters, as
+every stabilizer element of a graph has, row e and row e ^ 1...1 are equal,
+so only the rows with e < 2^(n-1) are transformed; the twin of
+(neg_x, neg_y) is (neg_x, neg_y ^ 1...1).
 
 A batch holds the rows of consecutive e laid out [key, e], e fastest, and
 the butterfly level of key bit k pairs runs of rows * 2^k cells. numpy's
@@ -25,9 +37,9 @@ the operand's contiguous run is shorter than half that buffer, at several
 times the cost per element. So a batch is transformed in two phases: the
 upper half of the key bits while they are the outer axis, then one
 transposed copy that swaps the two halves of the key, then the lower half,
-now outer. No butterfly run is shorter than rows * 2^(width // 2), and a
+now outer. No butterfly run is shorter than rows * 2^(n // 2), and a
 maximum's position is read back through a table, per swapped key, of the
-packed (neg_x, neg_y, neg_z) it stands for at e = 0.
+packed (neg_x, neg_y) it stands for at e = 0.
 
 Batch `base`, the rows base <= e < base + 2^row_bits, is
 chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = merged[key] *
@@ -38,32 +50,24 @@ per key. A search of one batch multiplies the gathered int8 rows by merged.
 
 Phase B only adds and subtracts the cells of one column (k_hi, e) of phase
 A's result, over key_lo, so the sum of their magnitudes bounds every value
-the column ends in. Once a Z-pinned search has a positive running maximum,
-each later batch takes that bound after phase A and drops the columns below
-the maximum: they can hold neither a maximum nor a tie of it. When at most
+the column ends in. Once the search has a positive running maximum, each
+later batch takes that bound after phase A and drops the columns below the
+maximum: they can hold neither a maximum nor a tie of it. When at most
 1/_LIVE_SHARE of the columns are left (about 1% are in the later batches of
 a 12-vertex family graph), only they are gathered, [key_lo, live], and
-finished; otherwise the whole batch goes through phase B. In the 8^n space
-the key halves are x and z, and no column is ever dropped, so no bound is
-taken.
+finished; otherwise the whole batch goes through phase B.
 
 The buffers of a batch shape, their butterfly and swap views and the
 tie-break tables make a plan. Each thread keeps its last _PLAN_CACHE_SIZE
 plans of at most _PLAN_BYTES for reuse, so at most 2 MiB a thread; with
-these constants that covers every Z-pinned search of a graph with up to 8
-vertices, each one batch. A larger plan is built for its one call.
-
-The Z observables can be pinned to +1 without changing the maximum for
-graph-form operators (flipping Z on one qubit is absorbed by flipping Y
-there plus X and Y on its neighbors), which cuts the space from 8^n to 4^n.
-The key is then x alone, and y must be a function of x, as it is for every
-stabilizer element of a graph (term S has x = S and z = ΓS).
+these constants that covers every search of a graph with up to 8 vertices,
+each one batch. A larger plan is built for its one call.
 
 Rows are int16 when there are fewer than 2^15 terms and int32 otherwise.
 Every partial sum of a transform is a signed sum of term signs, so it is
 bounded by the term count and both widths are exact. Ties are broken
-towards the lexicographically smallest (neg_x, neg_y, neg_z), whatever
-order the batches are visited in.
+towards the lexicographically smallest (neg_x, neg_y), whatever order the
+batches are visited in.
 """
 
 from __future__ import annotations
@@ -81,16 +85,16 @@ from .errors import CapExceededError
 from .graph import Graph, connected_components, induced_subgraph
 from .stabilizer import BellOperator, bell_terms
 
-SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14 pinned and 8^9 unpinned
-# one batch of rows stays in a core's cache; pinned, n = 11 runs 128 rows a batch and n = 12
+SEARCH_ASSIGNMENTS = 1 << 28  # admits 4^14
+# one batch of rows stays in a core's cache; n = 11 runs 128 rows a batch and n = 12
 # runs 64, so their phase-A butterflies run along 4096 cells or more
 _BATCH_BYTES = 1 << 19
 # a power of two: a batch has this many rows or more when the search has them, and they are
 # the contiguous run of its chi multiply and phase copy; numpy's loop buffers runs that short,
-# which is why the butterflies run in two phases, on runs of rows * 2^(width // 2) or more
+# which is why the butterflies run in two phases, on runs of rows * 2^(n // 2) or more
 _MIN_BATCH_ROWS = 16
 _SIGNS = np.array([1, -1], dtype=np.int8)
-_PLAN_BYTES = 1 << 18  # the largest plan kept: every Z-pinned one of up to 8 vertices
+_PLAN_BYTES = 1 << 18  # the largest plan kept: every one of a graph of up to 8 vertices
 _PLAN_CACHE_SIZE = 8  # plans kept per thread, each of at most _PLAN_BYTES: 2 MiB a thread
 _LIVE_SHARE = 8  # a batch finishes its live columns alone when at most 1/8 of them are live
 
@@ -99,7 +103,10 @@ METHOD_EXHAUSTIVE = "exhaustive"
 
 @dataclass(frozen=True)
 class Assignment:
-    """One deterministic LHV model: masks of qubits whose X/Y/Z value is -1."""
+    """One deterministic LHV model: masks of qubits whose X/Y/Z value is -1.
+
+    The search pins Z, so its assignments have neg_z = 0.
+    """
 
     neg_x: int
     neg_y: int
@@ -144,18 +151,34 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
-def search_limit(pin_z: bool) -> int:
-    """Most qubits the search admits: the largest n with 4^n (Z pinned) or 8^n assignments."""
-    return (SEARCH_ASSIGNMENTS.bit_length() - 1) // (2 if pin_z else 3)
+def z_pinning_certified(b: BellOperator, adj: tuple[int, ...]) -> bool:
+    """True iff every absorption move phi_v of graph ``adj`` keeps every term's value.
+
+    phi_v flips Z on v, Y on v and N(v), and X on N(v) (module docstring);
+    ``adj`` lists each vertex's neighbour mask. When this holds, pinning Z
+    loses nothing: the 8^n maximum of the term list is its 4^n maximum.
+    """
+    x, z = b.x_masks, b.z_masks
+    x_letters, y_letters, z_letters = x & ~z, x & z, z & ~x
+    for v, nbrs in enumerate(adj):
+        flips = (np.bitwise_count(x_letters & nbrs) + np.bitwise_count(y_letters & (nbrs | 1 << v))
+                 + (z_letters >> v & 1))
+        if (flips & 1).any():
+            return False
+    return True
 
 
-def search_space(n: int, pin_z: bool) -> int:
+def search_limit() -> int:
+    """Most qubits the search admits: the largest n with 4^n assignments."""
+    return (SEARCH_ASSIGNMENTS.bit_length() - 1) // 2
+
+
+def search_space(n: int) -> int:
     """Assignments of an n-qubit search; refuses n over ``search_limit`` before any work."""
-    base = 4 if pin_z else 8
-    if n > search_limit(pin_z):
-        raise CapExceededError(f"search space {base}^{n} has {base**n} assignments, "
+    if n > search_limit():
+        raise CapExceededError(f"search space 4^{n} has {4**n} assignments, "
                                f"over the {SEARCH_ASSIGNMENTS}-assignment limit")
-    return base**n
+    return 4**n
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +202,7 @@ class _Plan(NamedTuple):
     phase_b: list
     out: np.ndarray  # [swapped key, e], flat: where its transform ends
     ties: np.ndarray  # bool, flat, in the buffer that does not hold out: where out is maximal
-    lex: np.ndarray  # the packed (neg_x, neg_y, neg_z) of each swapped key at e = 0
+    lex: np.ndarray  # the packed (neg_x, neg_y) of each swapped key at e = 0
     lex_e: np.ndarray  # what e adds to it, for every transformed e
 
     @property
@@ -188,12 +211,12 @@ class _Plan(NamedTuple):
         return 2 * self.batch.nbytes + self.lex.nbytes + self.lex_e.nbytes
 
 
-def _build_plan(n: int, width: int, half: bool, row_bits: int, dtype) -> _Plan:
-    size, rows = 1 << width, 1 << row_bits
+def _build_plan(n: int, half: bool, row_bits: int, dtype) -> _Plan:
+    size, rows = 1 << n, 1 << row_bits
     twin = (1 << n) - 1 if half else 0
     # one block, so that the two buffers lie a whole number of pages apart: two heap blocks lie
     # 16 bytes off that, and then a butterfly's stores alias (4 KiB apart) the loads it makes
-    # next, which made an unpinned batch of 8^9 about 40% slower
+    # next, which made an 8 MiB batch (2^18 keys, 16 rows) about 40% slower
     both = np.empty(2 * size * rows, dtype=dtype)
     bufs = (both[: size * rows], both[size * rows :])
 
@@ -210,34 +233,28 @@ def _build_plan(n: int, width: int, half: bool, row_bits: int, dtype) -> _Plan:
     # key = key_hi << lo | key_lo: phase A transforms the hi bits of
     # [key_hi, key_lo, e], one copy makes it [key_lo, key_hi, e], and phase B
     # transforms the lo bits, so no butterfly run is shorter than rows << lo
-    lo = width // 2
-    hi = width - lo
-    # lex packs (neg_x, neg_y, neg_z) most significant first, in 2n + z_bits
-    # <= 28 bits, with neg_y = e ^ s and s = neg_x ^ neg_z. With twins,
-    # e < 2^(n-1), so the top bit of neg_y is that of s, and the smaller
-    # twin is e ^ min(s, s ^ twin)
-    z_bits = width - n
+    lo = n // 2
+    hi = n - lo
+    # lex packs (neg_x, neg_y) most significant first, in 2n <= 28 bits, with
+    # neg_y = e ^ neg_x. With twins, e < 2^(n-1), so the top bit of neg_y is
+    # that of neg_x, and the smaller twin is e ^ min(neg_x, neg_x ^ twin)
     col = np.arange(size, dtype=np.int32)
-    key = (col & ((1 << hi) - 1)) << lo
-    key |= col >> hi
-    neg_z = key & ((1 << z_bits) - 1)
-    lex = key >> z_bits  # neg_x, shifted into place below
-    s = lex ^ neg_z
-    np.minimum(s, s ^ twin, out=s)
-    lex <<= n + z_bits
-    lex |= s << z_bits
-    lex |= neg_z
+    lex = (col & ((1 << hi) - 1)) << lo  # the swapped key, neg_x
+    lex |= col >> hi
+    s = np.minimum(lex, lex ^ twin)
+    lex <<= n
+    lex |= s
     return _Plan(
         batch=bufs[0].reshape(size, rows),
-        phase_a=butterflies(range(lo, width), 0),
+        phase_a=butterflies(range(lo, n), 0),
         halves=bufs[hi % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2),
         magnitudes=bufs[(hi + 1) % 2].reshape(1 << hi, 1 << lo, rows).transpose(1, 0, 2),
         swapped=bufs[(hi + 1) % 2].reshape(1 << lo, 1 << hi, rows),
-        phase_b=butterflies(range(hi, width), hi + 1),
-        out=bufs[(width + 1) % 2],
-        ties=bufs[width % 2].view(np.bool_)[: size * rows],
+        phase_b=butterflies(range(hi, n), hi + 1),
+        out=bufs[(n + 1) % 2],
+        ties=bufs[n % 2].view(np.bool_)[: size * rows],
         lex=lex,
-        lex_e=np.arange(1 << (n - half), dtype=np.int32) << z_bits,
+        lex_e=np.arange(1 << (n - half), dtype=np.int32),
     )
 
 
@@ -252,7 +269,7 @@ _plans = _PlanCache()
 
 
 def _plan(*key) -> _Plan:
-    """The plan of (n, width, half, row_bits, dtype): from this thread's cache, or built.
+    """The plan of (n, half, row_bits, dtype): from this thread's cache, or built.
 
     A plan of at most _PLAN_BYTES is kept, the least recently used one
     leaving when there are more than _PLAN_CACHE_SIZE; a larger one serves
@@ -271,15 +288,16 @@ def _plan(*key) -> _Plan:
     return plan
 
 
-def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignment, int]:
-    """Exact max of |<B>| over LHV models for an arbitrary term list.
+def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
+    """Exact max of |<B>| over the Z-pinned LHV models of a term list.
 
-    Returns (c, argmax, search_space). With ``pin_z`` set, the Z settings are
-    pinned to +1, shrinking the space from 8^n to 4^n; that is only valid for
-    graph-form operators, and a term list whose Y letters are not fixed by
-    each term's X mask raises ``ValueError``. The argmax is the
-    lexicographically smallest (neg_x, neg_y, neg_z) triple achieving the
-    maximum, whatever order the search visits assignments in.
+    Returns (c, argmax, search_space). The Z settings are pinned to +1, so
+    the space is 4^n; that is the exact maximum over all 8^n models when
+    ``z_pinning_certified`` holds, as it does for every graph. A term list
+    whose Y letters are not fixed by each term's X mask raises
+    ``ValueError``. The argmax is the lexicographically smallest
+    (neg_x, neg_y) pair achieving the maximum, whatever order the search
+    visits assignments in.
 
     The search is the change of basis of the module docstring: rows of about
     _BATCH_BYTES are transformed while a running maximum is kept, so memory
@@ -289,15 +307,14 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     refused before anything is allocated.
     """
     n = b.n
-    space = search_space(n, pin_z)
-    width = n if pin_z else 2 * n  # key bits
-    size = 1 << width
+    space = search_space(n)
+    size = 1 << n
     x, z = b.x_masks, b.z_masks
     y = x & z
-    keys = (x if pin_z else (x << n) | z).astype(np.intp)
+    keys = x.astype(np.intp)
     y_of_key = np.zeros(size, dtype=y.dtype)  # a key no term has merges to 0, whatever its y
     y_of_key[keys] = y
-    if not (y_of_key[keys] == y).all():  # only a pinned key can hold two different y
+    if not (y_of_key[keys] == y).all():
         raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
     full = (1 << n) - 1
     half = n > 0 and not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
@@ -305,10 +322,10 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
     merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
     # with e fastest (see _MIN_BATCH_ROWS)
-    fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - width
+    fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - n
     row_bits = min(n - half, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
-    plan = _plan(n, width, half, row_bits, dtype)
+    plan = _plan(n, half, row_bits, dtype)
     batch, out = plan.batch, plan.out
     batches = range(0, 1 << (n - half), rows)
     if len(batches) == 1:  # merged[key] * H[y(key), e]
@@ -318,10 +335,9 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
         table = _hadamard(row_bits, dtype)  # in the row type: take(out=batch) casts no type
         y_lo = (y_of_key & (rows - 1)).astype(np.intp)
         signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
-        chi = np.empty(size, dtype=dtype)  # refilled in place: a new one per batch cost 3 MB RSS at 8^9
-    lo = width // 2
-    hi = width - lo
-    z_bits = width - n
+        chi = np.empty(size, dtype=dtype)  # refilled in place, one allocation a search
+    lo = n // 2
+    hi = n - lo
     best, best_key = -1, 0
     for base in batches:
         if len(batches) > 1:
@@ -333,7 +349,7 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
         count = 0  # live columns, once the bound is taken
-        if pin_z and best > 0:
+        if best > 0:
             # phase B only adds and subtracts the cells of a column (k_hi, e), so the sum of
             # their magnitudes bounds it; a column below best holds neither a maximum nor a tie
             np.abs(plan.halves, out=plan.magnitudes)
@@ -367,14 +383,13 @@ def operator_bound(b: BellOperator, pin_z: bool = False) -> tuple[int, Assignmen
                 continue
             np.equal(out, m, out=plan.ties)
             cols, r = np.divmod(plan.ties.nonzero()[0], rows)
-        # the smallest packed (neg_x, neg_y, neg_z) among this batch's maxima
+        # the smallest packed (neg_x, neg_y) among this batch's maxima
         lex = plan.lex.take(cols)
         lex ^= plan.lex_e[base : base + rows].take(r)
         key = int(lex.min())
         if m > best or key < best_key:
             best, best_key = m, key
-    return best, Assignment(best_key >> (n + z_bits), best_key >> z_bits & full,
-                            best_key & ((1 << z_bits) - 1)), space
+    return best, Assignment(best_key >> n, best_key & full), space
 
 
 def classical_bound(g: Graph) -> BoundReport:
@@ -387,13 +402,13 @@ def classical_bound(g: Graph) -> BoundReport:
     the assignment limit is refused before any term list is built.
     """
     comps = connected_components(g)
-    search_space(max(map(int.bit_count, comps)), pin_z=True)
+    search_space(max(map(int.bit_count, comps)))
     c_total = 1
     neg_x = neg_y = 0
     space_total = 0
     for comp in comps:
         sub, labels = induced_subgraph(g, comp)
-        c, argmax, space = operator_bound(bell_terms(sub), pin_z=True)
+        c, argmax, space = operator_bound(bell_terms(sub))
         c_total *= c
         space_total += space
         if len(comps) == 1:  # the labels are 0..n-1

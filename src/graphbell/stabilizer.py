@@ -24,8 +24,8 @@ class BellOperator:
     The x_masks, z_masks and signs arrays let the exact search and the
     oracle consume the terms without materializing 2^n objects. In the
     output of ``bell_terms`` term j is the stabilizer element of the
-    generator subset whose set bits are j; other term lists, such as those
-    of ``apply_permutation``, carry no such index.
+    generator subset whose set bits are j; other term lists carry no such
+    index.
     """
 
     def __init__(self, n: int, x_masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray):
@@ -69,28 +69,3 @@ def bell_terms(g: Graph) -> BellOperator:
     flips = np.bitwise_count((doubling >> np.uint64(32)) & x) + (np.bitwise_count(x & z) >> 1)
     signs = np.where(flips & 1, np.int8(-1), np.int8(1))
     return BellOperator(g.n, x, z, signs)
-
-
-def apply_permutation(b: BellOperator, qubit: int, perm: str) -> BellOperator:
-    """Replace the letter on one qubit of every term by its image under a permutation.
-
-    ``perm`` is a 4-character string listing the images of '1', 'X', 'Y', 'Z'
-    in that order, each letter once. Signs are preserved. The result is a
-    plain term list; it need not be a stabilizer group.
-    """
-    if not isinstance(perm, str) or sorted(perm) != sorted("1XYZ"):
-        raise ValueError("permutation must be a string listing the images of '1XYZ', "
-                         "a bijection on {1, X, Y, Z}")
-    if not 0 <= qubit < b.n:
-        raise ValueError(f"qubit {qubit} out of range")
-    # code = x_bit + 2*z_bit indexes "1XZY", the letter decoding of the module docstring
-    lut = np.zeros(4, dtype=np.uint32)
-    for src, dst in zip("1XYZ", perm):
-        lut["1XZY".index(src)] = "1XZY".index(dst)
-    xb = (b.x_masks >> qubit) & 1
-    zb = (b.z_masks >> qubit) & 1
-    codes = lut[xb + 2 * zb]
-    bit = np.uint32(1 << qubit)
-    x = (b.x_masks & ~bit) | ((codes & 1) << qubit).astype(np.uint32)
-    z = (b.z_masks & ~bit) | ((codes >> 1) << qubit).astype(np.uint32)
-    return BellOperator(b.n, x, z, b.signs.copy())

@@ -13,6 +13,11 @@ oracle's blocks of term products, the edge-by-edge graph state
 independently of the oracle's doubling build, and the Schmidt rank from the
 GF(2) rank of a cut's adjacency block, so that tests have a second route to
 the same answer.
+
+``reference_scan`` with Z unpinned is the 8^n search: it checks the
+engine's Z-pinning by brute force on small graphs, and it searches the
+term lists of ``apply_permutation``, which relabels one qubit's letters and
+so need not pin.
 """
 
 from __future__ import annotations
@@ -225,6 +230,33 @@ def element(g: Graph, subset: int) -> PauliString:
         out = multiply(out, generator(g, i))
         mask &= mask - 1
     return out
+
+
+def apply_permutation(b: BellOperator, qubit: int, perm: str) -> BellOperator:
+    """Replace the letter on one qubit of every term by its image under a permutation.
+
+    ``perm`` is a 4-character string listing the images of '1', 'X', 'Y', 'Z'
+    in that order, each letter once. Signs are preserved. The result is a
+    plain term list; it need not be a stabilizer group. A permutation of one
+    qubit's letters is a bijection of LHV assignments, so the 8^n maximum
+    (``reference_scan`` unpinned) does not change.
+    """
+    if not isinstance(perm, str) or sorted(perm) != sorted("1XYZ"):
+        raise ValueError("permutation must be a string listing the images of '1XYZ', "
+                         "a bijection on {1, X, Y, Z}")
+    if not 0 <= qubit < b.n:
+        raise ValueError(f"qubit {qubit} out of range")
+    # code = x_bit + 2*z_bit indexes "1XZY", the letter decoding of PauliString
+    lut = np.zeros(4, dtype=np.uint32)
+    for src, dst in zip("1XYZ", perm):
+        lut["1XZY".index(src)] = "1XZY".index(dst)
+    xb = (b.x_masks >> qubit) & 1
+    zb = (b.z_masks >> qubit) & 1
+    codes = lut[xb + 2 * zb]
+    bit = np.uint32(1 << qubit)
+    x = (b.x_masks & ~bit) | ((codes & 1) << qubit).astype(np.uint32)
+    z = (b.z_masks & ~bit) | ((codes >> 1) << qubit).astype(np.uint32)
+    return BellOperator(b.n, x, z, b.signs.copy())
 
 
 def reference_scan(b, pin_z: bool) -> tuple[int, int]:

@@ -9,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from graphbell import GraphFamily, build_family, from_edges, parse_edge_list, render_edge_list
-from graphbell.cli import _build_parser, main
+from graphbell import (
+    BellOperator,
+    GraphFamily,
+    build_family,
+    from_edges,
+    parse_edge_list,
+    render_edge_list,
+)
+from graphbell.cli import EXIT_INTERNAL, _build_parser, main
 from graphbell.stabilizer import bell_terms
 
 
@@ -242,6 +249,9 @@ class TestTableCommand:
         assert len(out.splitlines()) == 33
 
 
+CERTIFIED = "certified term by term on every component: unrestricted c = restricted c = "
+
+
 class TestVerifyCommand:
     def test_clique3_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "fc", "--n", "3")
@@ -274,23 +284,41 @@ class TestVerifyCommand:
         rows = out.strip().splitlines()
         assert rows[0] == "check,passed,detail"
         assert rows[1].startswith("stabilizer-eigenvalue,true,")
-        assert len(rows) == 1 + 6
+        assert len(rows) == 1 + 5
 
     def test_unpinned_checks_skipped_above_their_cap(self, capsys):
-        # 8^10 is over the assignment limit; the skip carries the engine's refusal
+        # the Z-pinning check is a certificate on the term list, not an 8^n search, so it has
+        # no cap of its own: at lc 10 nothing is skipped
         code, out, _ = run(capsys, "verify", "--family", "lc", "--n", "10")
         assert code == 0
-        skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
-        assert [line.split()[1] for line in skipped] == [
-            "z-restriction-equivalence:", "observable-permutation-invariance:"]
-        assert all(line.endswith(f"skipped: search space 8^10 has {8**10} assignments, "
-                                 f"over the {1 << 28}-assignment limit") for line in skipped)
+        assert [line.split()[0] for line in out.splitlines()] == ["ok"] * 5
+        assert f"ok   z-restriction-equivalence: {CERTIFIED}352" in out.splitlines()
+
+    def test_certificate_runs_at_the_top_of_the_search_range(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "rc", "--n", "14")
+        assert code == 0
+        assert f"ok   z-restriction-equivalence: {CERTIFIED}2944" in out.splitlines()
+
+    def test_failed_certificate_exits_internal(self, capsys, monkeypatch):
+        # a term list with one Z bit flipped is not certified, and verify says so
+        def one_z_bit_flipped(g):
+            b = bell_terms(g)
+            z = b.z_masks.copy()
+            z[-1] ^= 1
+            return BellOperator(b.n, b.x_masks, z, b.signs)
+
+        monkeypatch.setattr("graphbell.cli.bell_terms", one_z_bit_flipped)
+        code, out, err = run(capsys, "verify", "--family", "lc", "--n", "6")
+        assert code == EXIT_INTERNAL == 5
+        assert ("FAIL z-restriction-equivalence: not certified: a Z flip changes some term's value"
+                in out.splitlines())
+        assert "verification failed: z-restriction-equivalence" in err
 
     @pytest.mark.parametrize("n, edges", [(16, 8), (21, 0), (22, 11)])
     def test_large_disconnected_graph_skips_before_building_terms(
             self, capsys, tmp_path, monkeypatch, n, edges):
-        # n disjoint vertices and edges: classical-bound solves the components,
-        # and the unpinned checks are refused before the 2^n terms are built
+        # n disjoint vertices and edges: classical-bound solves the components, and the
+        # certificate builds their term lists, never the 2^n terms of the whole graph
         sizes = []
 
         def counted(g):
@@ -303,10 +331,8 @@ class TestVerifyCommand:
         path.write_text(f"{n}\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(edges)))
         code, out, _ = run(capsys, "verify", "--edges", str(path))
         assert code == 0
-        search = f"skipped: search space 8^{n} has {8**n} assignments, over the {1 << 28}-assignment limit"
         status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
-        assert status["z-restriction-equivalence"].endswith(search)
-        assert status["observable-permutation-invariance"].endswith(search)
+        assert status["z-restriction-equivalence"].startswith("ok")
         assert status["classical-bound"].startswith("ok")
         assert status["local-complementation-invariance"].startswith("ok")
         assert max(sizes) == (2 if edges else 1)
@@ -319,13 +345,11 @@ class TestVerifyCommand:
         assert code == 0
         status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
         dense = "skipped: dense oracle capped at 4 qubits, got 5"
-        search = f"skipped: search space 8^5 has {8**5} assignments, over the 1024-assignment limit"
         assert status == {
             "stabilizer-eigenvalue": f"SKIP stabilizer-eigenvalue: {dense}",
             "quantum-bell-value": f"SKIP quantum-bell-value: {dense}",
             "classical-bound": "ok   classical-bound: c = 20, d = 5/8",
-            "z-restriction-equivalence": f"SKIP z-restriction-equivalence: {search}",
-            "observable-permutation-invariance": f"SKIP observable-permutation-invariance: {search}",
+            "z-restriction-equivalence": f"ok   z-restriction-equivalence: {CERTIFIED}20",
             "local-complementation-invariance":
                 "ok   local-complementation-invariance: c at complemented vertex 0 = 20",
         }

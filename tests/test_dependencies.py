@@ -31,4 +31,4 @@ def test_public_names_resolve_once():
     names = graphbell.__all__
     assert len(names) == len(set(names))
     assert all(hasattr(graphbell, name) for name in names)
-    assert {"PauliString", "generator"}.isdisjoint(names)
+    assert {"PauliString", "generator", "apply_permutation"}.isdisjoint(names)

@@ -15,7 +15,6 @@ from graphbell import (
     BellOperator,
     CapExceededError,
     GraphFamily,
-    apply_permutation,
     bell_terms,
     bell_value,
     build_family,
@@ -25,10 +24,11 @@ from graphbell import (
     operator_bound,
 )
 from graphbell import lhv
-from graphbell.lhv import search_limit
+from graphbell.lhv import search_limit, z_pinning_certified
 from helpers import (
     PauliString,
     all_labeled_graphs,
+    apply_permutation,
     connected_graphs,
     graph_from_edge_mask,
     graphs,
@@ -150,8 +150,8 @@ class TestClassicalBound:
         report = classical_bound(FC3)
         assert report.search_space == 4**3
         assert report.method == "exhaustive"
-        c, _, space = operator_bound(bell_terms(FC3), pin_z=False)
-        assert space == 8**3
+        c, _, space = operator_bound(bell_terms(FC3))
+        assert space == 4**3
         assert c == 6
 
     def test_cap_refused(self):
@@ -175,25 +175,20 @@ class TestClassicalBound:
                 classical_bound(g)
         assert calls == []
 
-    @pytest.mark.parametrize("n, pin_z", [(20, True), (14, False)])
-    def test_table_over_limit_refused_before_allocating(self, n, pin_z):
-        # 2^40 and 2^42 assignments: a missing guard fails here by running for hours
-        terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, n))
+    def test_table_over_limit_refused_before_allocating(self):
+        # 2^40 assignments: a missing guard fails here by running for hours
+        terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, 20))
         with pytest.raises(CapExceededError, match="assignment limit"):
-            operator_bound(terms, pin_z=pin_z)
+            operator_bound(terms)
 
-    @pytest.mark.parametrize("pin_z, fits, refused", [(True, 5, 6), (False, 3, 4)])
-    def test_table_limit_boundary(self, monkeypatch, pin_z, fits, refused):
-        assert search_limit(pin_z) == (14 if pin_z else 9)
+    def test_table_limit_boundary(self, monkeypatch):
+        assert search_limit() == 14
         monkeypatch.setattr("graphbell.lhv.SEARCH_ASSIGNMENTS", 4**5)
-        assert search_limit(pin_z) == fits
-        c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, fits)),
-                                     pin_z=pin_z)
-        assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, fits)).c,
-                              (4 if pin_z else 8) ** fits)
+        assert search_limit() == 5
+        c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)))
+        assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, 5)).c, 4**5)
         with pytest.raises(CapExceededError):
-            operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, refused)),
-                           pin_z=pin_z)
+            operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, 6)))
 
     def test_disconnected_factorizes(self):
         g = from_edges(5, [(0, 1), (1, 2), (3, 4)])  # path-3 plus an edge
@@ -207,27 +202,71 @@ class TestClassicalBound:
     @settings(max_examples=50, deadline=None)
     def test_component_split_matches_whole_space_search(self, g):
         c_split = classical_bound(g).c
-        c_whole, _, _ = operator_bound(bell_terms(g), pin_z=True)
+        c_whole, _, _ = operator_bound(bell_terms(g))
         assert c_split == c_whole
 
 
 class TestZRestriction:
     def test_all_labeled_graphs_up_to_4(self):
-        # restricted 4^n and unrestricted 8^n searches agree, disconnected included
+        # the 4^n search and the 8^n reference scan agree, disconnected included,
+        # and the certificate holds on every one of these term lists
         for n in range(1, 5):
             m = n * (n - 1) // 2
             for mask in range(1 << m):
-                b = bell_terms(graph_from_edge_mask(n, mask))
-                c_restricted, _, _ = operator_bound(b, pin_z=True)
-                c_full, _, _ = operator_bound(b, pin_z=False)
-                assert c_restricted == c_full
+                g = graph_from_edge_mask(n, mask)
+                b = bell_terms(g)
+                c_restricted, _, _ = operator_bound(b)
+                assert c_restricted == reference_scan(b, pin_z=False)[0]
+                assert z_pinning_certified(b, g.adj)
 
     def test_pinning_needs_y_letters_fixed_by_the_x_mask(self):
         b = BellOperator(2, np.array([0b11, 0b11], dtype=np.uint32),
                          np.array([0b00, 0b10], dtype=np.uint32), np.array([1, 1], dtype=np.int8))
         with pytest.raises(ValueError, match="Y letters"):
-            operator_bound(b, pin_z=True)
-        assert operator_bound(b, pin_z=False)[0] == 2
+            operator_bound(b)
+
+
+def one_z_bit_flipped(b: BellOperator, term: int, qubit: int) -> BellOperator:
+    z = b.z_masks.copy()
+    z[term] ^= np.uint32(1 << qubit)
+    return BellOperator(b.n, b.x_masks, z, b.signs)
+
+
+class TestPinningCertificate:
+    """z_pinning_certified: every absorption move keeps every term, so the 8^n max is the 4^n one."""
+
+    def test_holds_on_seeded_random_graphs(self):
+        rng = random.Random(20261020)
+        for n in range(2, 15):
+            for _ in range(6):
+                g = random_connected_graph(rng, n, extra_edge_prob=rng.random())
+                assert z_pinning_certified(bell_terms(g), g.adj)
+            g = graph_from_edge_mask(n, rng.randrange(1 << n * (n - 1) // 2))  # often disconnected
+            assert z_pinning_certified(bell_terms(g), g.adj)
+
+    def test_holds_on_every_family_graph(self):
+        for fam in GraphFamily:
+            for n in range(2, 15):
+                g = build_family(fam, n)
+                assert z_pinning_certified(bell_terms(g), g.adj)
+
+    @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 9), (GraphFamily.RING_CLUSTER, 5),
+                                        (GraphFamily.STAR, 4), (GraphFamily.FULLY_CONNECTED, 3)])
+    def test_fails_on_an_x_y_swap(self, fam, n):
+        g = build_family(fam, n)
+        assert not z_pinning_certified(apply_permutation(bell_terms(g), 0, "1YXZ"), g.adj)
+
+    def test_fails_with_one_z_bit_flipped(self):
+        # a flipped Z bit on qubit q turns 1 into Z or X into Y there, which phi_q sees
+        rng = random.Random(9)
+        g = build_family(GraphFamily.LINEAR_CLUSTER, 9)
+        b = bell_terms(g)
+        assert not z_pinning_certified(one_z_bit_flipped(b, 0b101101, 4), g.adj)
+        for _ in range(50):
+            g = random_connected_graph(rng, rng.randint(2, 9))
+            b = bell_terms(g)
+            flipped = one_z_bit_flipped(b, rng.randrange(len(b)), rng.randrange(g.n))
+            assert not z_pinning_certified(flipped, g.adj)
 
 
 def small_batches(monkeypatch) -> None:
@@ -246,11 +285,9 @@ def repeated_term(text: str, copies: int) -> BellOperator:
     )
 
 
-def counter_index(a: Assignment, n: int, pin_z: bool) -> int:
-    """Position of an assignment in the reference scan's counter order."""
-    if pin_z:
-        return a.neg_x << n | a.neg_y
-    return a.neg_x << (2 * n) | a.neg_y << n | a.neg_z
+def counter_index(a: Assignment, n: int) -> int:
+    """Position of a Z-pinned assignment in the pinned reference scan's counter order."""
+    return a.neg_x << n | a.neg_y
 
 
 class TestDeterminism:
@@ -258,42 +295,46 @@ class TestDeterminism:
     @settings(max_examples=40, deadline=None)
     def test_reference_scan_equals_transform(self, g):
         report = classical_bound(g)
-        assert (report.c, counter_index(report.argmax, g.n, True)) == reference_scan(
+        assert (report.c, counter_index(report.argmax, g.n)) == reference_scan(
             bell_terms(g), pin_z=True
         )
 
     def test_unreduced_engines_agree(self):
+        # the 8^n reference scan gives the 4^n search's c, on the list and on a relabelling of
+        # one qubit's letters, which is a bijection of assignments
         for fam in GraphFamily:
             b = bell_terms(build_family(fam, 4))
+            c, _, space = operator_bound(b)
+            assert space == 4**4
             for ops in (b, apply_permutation(b, 1, "Y1ZX")):
-                c, argmax, space = operator_bound(ops, pin_z=False)
-                assert space == 8**4
-                assert (c, counter_index(argmax, 4, False)) == reference_scan(ops, pin_z=False)
+                assert reference_scan(ops, pin_z=False)[0] == c
 
     def test_seams_pinned_on_every_labeled_graph_up_to_4(self, monkeypatch):
         small_batches(monkeypatch)
         for n in range(1, 5):
             for g in all_labeled_graphs(n):
                 b = bell_terms(g)
-                c, argmax, _ = operator_bound(b, pin_z=True)
-                assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
+                c, argmax, _ = operator_bound(b)
+                assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
 
     def test_seams_unpinned_on_families_and_permutations(self, monkeypatch):
+        # searched across batch seams, each family graph's c is the 8^n reference's, also
+        # after relabelling the letters of its first or last qubit
         small_batches(monkeypatch)
         for fam in GraphFamily:
             for n in range(2, 6):
                 b = bell_terms(build_family(fam, n))
+                c, argmax, _ = operator_bound(b)
+                assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
                 for ops in (b, apply_permutation(b, 0, "Y1ZX"), apply_permutation(b, n - 1, "ZYX1")):
-                    c, argmax, _ = operator_bound(ops, pin_z=False)
-                    assert (c, counter_index(argmax, n, False)) == reference_scan(ops, pin_z=False)
+                    assert reference_scan(ops, pin_z=False)[0] == c
 
     @pytest.mark.parametrize("copies", [2**15 - 1, 2**15, 40_000])
     def test_row_width_holds_the_term_count(self, monkeypatch, copies):
         # int16 rows hold 32767 copies of one term; 32768 and more need int32
         small_batches(monkeypatch)
         b = repeated_term("-YX", copies)
-        for pin_z in (True, False):
-            assert operator_bound(b, pin_z=pin_z)[:2] == (copies, ALL_PLUS)
+        assert operator_bound(b)[:2] == (copies, ALL_PLUS)
 
 
 def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
@@ -322,32 +363,33 @@ def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
 class TestTwinRows:
     """Rows e and e ^ 1...1 are equal exactly when every term has an even number of Y letters."""
 
-    @pytest.mark.parametrize("pin_z", [True, False])
+    @pytest.mark.parametrize("wide", [True, False])
     @pytest.mark.parametrize("batches", ["default", "small"])
-    def test_odd_y_maximum_lies_in_the_upper_half(self, monkeypatch, pin_z, batches):
-        # 1 - (-1)^neg_y reaches 2 only at neg_y = 1, so e = neg_x ^ neg_y is
-        # in the upper half for the smallest maximizer (0, 1, 0)
+    def test_odd_y_maximum_lies_in_the_upper_half(self, monkeypatch, wide, batches):
+        # 1 - (-1)^neg_y reaches 2 only when the Y qubit's neg_y bit is set, so e = neg_x ^ neg_y
+        # is in the upper half for the smallest maximizer, (0, 1) on one qubit or (0, 2) on two
         if batches == "small":
             small_batches(monkeypatch)
-        b = term_list([PauliString.from_text("+1"), PauliString.from_text("-Y")])
-        c, argmax, _ = operator_bound(b, pin_z=pin_z)
-        assert (c, argmax) == (2, Assignment(0, 1, 0))
+        texts = ["+11", "-1Y"] if wide else ["+1", "-Y"]
+        c, argmax, _ = operator_bound(term_list([PauliString.from_text(t) for t in texts]))
+        assert (c, argmax) == (2, Assignment(0, 2 if wide else 1))
 
-    @pytest.mark.parametrize("pin_z", [True, False])
-    def test_zero_qubits_has_no_twin(self, pin_z):
-        # with n = 0 the single row e = 0 is its own twin, so nothing is halved
-        b = term_list([PauliString(0, 0, 0, sign) for sign in (-1, -1, 1, -1)])
-        assert operator_bound(b, pin_z=pin_z) == (2, ALL_PLUS, 1)
+    @pytest.mark.parametrize("negated", [True, False])
+    def test_zero_qubits_has_no_twin(self, negated):
+        # with n = 0 the single row e = 0 is its own twin, so nothing is halved; c is |sum|
+        signs = (1, 1, -1, 1) if negated else (-1, -1, 1, -1)
+        b = term_list([PauliString(0, 0, 0, sign) for sign in signs])
+        assert operator_bound(b) == (2, ALL_PLUS, 1)
 
-    @pytest.mark.parametrize("pin_z", [True, False])
-    def test_reference_scan_on_random_term_lists(self, monkeypatch, pin_z):
+    @pytest.mark.parametrize("odd_y", [True, False])
+    def test_reference_scan_on_random_term_lists(self, monkeypatch, odd_y):
         small_batches(monkeypatch)
-        rng = random.Random(20261018)
-        for k in range(120):
+        rng = random.Random(20261018 + odd_y)
+        for _ in range(120):
             n = rng.randint(1, 4)
-            b = random_term_list(rng, n, odd_y=k % 2 == 1)
-            c, argmax, _ = operator_bound(b, pin_z=pin_z)
-            assert (c, counter_index(argmax, n, pin_z)) == reference_scan(b, pin_z=pin_z)
+            b = random_term_list(rng, n, odd_y=odd_y)
+            c, argmax, _ = operator_bound(b)
+            assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
 
     def test_every_graph_term_has_even_y(self):
         for n in range(1, 6):
@@ -366,11 +408,12 @@ class TestTwinRows:
 class TestBatchLayout:
     """The two-phase transform (hi key bits, one transposed copy, lo key bits) in every batch shape.
 
-    The pinned width is n and the unpinned one 2n, so the pinned searches
-    of odd n have hi = lo + 1, n = 1 is width 1 and n = 0 is width 0.
+    The key has n bits, so the searches of odd n have hi = lo + 1, n = 1
+    has one key bit and n = 0 none. Lists with odd Y counts search every
+    row, the others half of them.
     """
 
-    @pytest.mark.parametrize("pin_z", [True, False])
+    @pytest.mark.parametrize("odd_y", [True, False])
     @pytest.mark.parametrize("batch_bytes, min_rows", [
         (1 << 19, 16),  # the defaults: every search here is one batch
         (1 << 18, 16),  # half the default cap: still one batch for every search here
@@ -378,17 +421,17 @@ class TestBatchLayout:
         (1, 2),  # 2 rows a batch
         (1, 1),  # 1 row a batch
     ])
-    def test_reference_scan_in_every_batch_shape(self, monkeypatch, pin_z, batch_bytes, min_rows):
+    def test_reference_scan_in_every_batch_shape(self, monkeypatch, odd_y, batch_bytes, min_rows):
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", batch_bytes)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", min_rows)
-        rng = random.Random(batch_bytes * 31 + min_rows * 2 + pin_z)
+        rng = random.Random(batch_bytes * 31 + min_rows * 2 + odd_y)
         zero = term_list([PauliString(0, 0, 0, sign) for sign in (-1, 1, -1, -1)])
-        assert operator_bound(zero, pin_z=pin_z) == (2, ALL_PLUS, 1)
-        for n in range(1, 8 if pin_z else 5):
-            for k in range(8):
-                b = random_term_list(rng, n, odd_y=k % 2 == 1)
-                c, argmax, _ = operator_bound(b, pin_z=pin_z)
-                assert (c, counter_index(argmax, n, pin_z)) == reference_scan(b, pin_z=pin_z)
+        assert operator_bound(zero) == (2, ALL_PLUS, 1)
+        for n in range(1, 8):
+            for _ in range(8):
+                b = random_term_list(rng, n, odd_y=odd_y)
+                c, argmax, _ = operator_bound(b)
+                assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_graphs_in_many_batches(self, monkeypatch, n):
@@ -398,8 +441,8 @@ class TestBatchLayout:
         for g in (random_connected_graph(rng, n), graph_from_edge_mask(n, rng.randrange(1 << n)),
                   build_family(GraphFamily.RING_CLUSTER, n)):
             b = bell_terms(g)
-            c, argmax, _ = operator_bound(b, pin_z=True)
-            assert (c, counter_index(argmax, n, True)) == reference_scan(b, pin_z=True)
+            c, argmax, _ = operator_bound(b)
+            assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
 
 
 def relabelled(g, rng: random.Random):
@@ -422,24 +465,23 @@ class TestPrunedBatches:
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 8)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
         rng = random.Random(20)
-        cases = [(bell_terms(relabelled(build_family(fam, n), rng)), True)
+        cases = [bell_terms(relabelled(build_family(fam, n), rng))
                  for fam in (GraphFamily.FULLY_CONNECTED, GraphFamily.STAR, GraphFamily.RING_CLUSTER)
                  for n in (5, 6, 8)]
-        # an X<->Y-permuted list has odd Y counts and is searched unpinned, where nothing is dropped
-        cases.append((apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)), 0,
-                                        "1YXZ"), False))
-        for b, pin_z in cases:
-            expected = reference_scan(b, pin_z=pin_z)
+        # lists with odd Y counts search every row, the upper half included
+        cases += [random_term_list(rng, n, odd_y=True) for n in (5, 6, 7)]
+        for b in cases:
+            expected = reference_scan(b, pin_z=True)
             for share in (1, 8, 1 << 30):
                 monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", share)
-                c, argmax, _ = operator_bound(b, pin_z=pin_z)
-                assert (c, counter_index(argmax, b.n, pin_z)) == expected
+                c, argmax, _ = operator_bound(b)
+                assert (c, counter_index(argmax, b.n)) == expected
 
     def test_int32_rows_finish_their_live_columns(self, monkeypatch):
         small_batches(monkeypatch)
         monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", 1)
         b = repeated_term("-YX", 40_000)
-        assert operator_bound(b, pin_z=True)[:2] == (40_000, ALL_PLUS)
+        assert operator_bound(b)[:2] == (40_000, ALL_PLUS)
 
     def test_low_d_random_graphs_match_one_batch(self, monkeypatch):
         # in batches of 4 rows, the second graph sends 52 batches through phase B with more than an
@@ -448,10 +490,10 @@ class TestPrunedBatches:
         rng = random.Random(0)
         gs = [random_connected_graph(rng, n, extra_edge_prob=0.2) for n in (9, 10, 9, 10)]
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 21)  # one batch up to n = 10
-        whole = [operator_bound(bell_terms(g), pin_z=True) for g in gs]
+        whole = [operator_bound(bell_terms(g)) for g in gs]
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 12)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 4)
-        assert [operator_bound(bell_terms(g), pin_z=True) for g in gs] == whole
+        assert [operator_bound(bell_terms(g)) for g in gs] == whole
 
     def test_rc12_traced_peak_stays_under_1_5_mib(self):
         g = build_family(GraphFamily.RING_CLUSTER, 12)
@@ -470,23 +512,23 @@ class TestPlanReuse:
     def test_two_threads_match_serial_within_the_cache_bounds(self):
         rng = random.Random(16)
         gs = [random_connected_graph(rng, n) for _ in range(4) for n in range(1, 10)]
-        # unpinned searches of 2..4 qubits add plan shapes, so the cache also evicts
-        ops = [bell_terms(build_family(fam, n)) for fam in GraphFamily for n in (2, 3, 4)]
-        ops = [apply_permutation(b, 0, "Y1ZX") for b in ops]
+        # lists of 2..4 qubits with odd Y counts search every row, which adds plan shapes, so the
+        # cache also evicts
+        ops = [random_term_list(rng, n, odd_y=True) for _ in range(4) for n in (2, 3, 4)]
 
         def solve(job):
             kind, arg = job
             if kind == "graph":
                 result = classical_bound(arg)
             else:
-                result = operator_bound(arg, pin_z=False)
+                result = operator_bound(arg)
             cache = lhv._plans.plans
             sizes = [plan.nbytes for plan in cache.values()]
             return result, len(sizes), sizes, threading.get_ident(), id(cache)
 
         jobs = [("graph", g) for g in gs] + [("ops", b) for b in ops]
         random.Random(61).shuffle(jobs)
-        serial = [classical_bound(arg) if kind == "graph" else operator_bound(arg, pin_z=False)
+        serial = [classical_bound(arg) if kind == "graph" else operator_bound(arg)
                   for kind, arg in jobs]
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(solve, jobs))
@@ -514,6 +556,8 @@ class TestPlanReuse:
 
 
 class TestPermutation:
+    """The helper that relabels one qubit's letters, and the 8^n maximum it leaves unchanged."""
+
     def test_identity_permutation(self):
         b = bell_terms(FC3)
         permuted = apply_permutation(b, 0, "1XYZ")
@@ -543,7 +587,7 @@ class TestPermutation:
             star = build_family(GraphFamily.STAR, n)
             clique = build_family(GraphFamily.FULLY_CONNECTED, n)
             permuted = apply_permutation(bell_terms(star), 0, "1XZY")  # swap Y and Z
-            c_perm, _, _ = operator_bound(permuted, pin_z=False)
+            c_perm, _ = reference_scan(permuted, pin_z=False)
             assert Fraction(c_perm, 1 << n) == classical_bound(clique).d
 
     def test_random_permutations_preserve_c(self):
@@ -556,7 +600,7 @@ class TestPermutation:
             images = letters[:]
             rng.shuffle(images)
             permuted = apply_permutation(bell_terms(g), qubit, "".join(images))
-            c_perm, _, _ = operator_bound(permuted, pin_z=False)
+            c_perm, _ = reference_scan(permuted, pin_z=False)
             assert c_perm == classical_bound(g).c
 
 

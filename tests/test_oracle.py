@@ -24,10 +24,10 @@ from graphbell import (
 from graphbell import oracle
 from graphbell.graph import iter_bits
 from graphbell.oracle import _expectation
-from graphbell.stabilizer import apply_permutation
 from helpers import (
     PauliString,
     apply_pauli,
+    apply_permutation,
     connected_graphs,
     dense_of,
     dense_projector_residual,
