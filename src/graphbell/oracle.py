@@ -4,10 +4,12 @@ Everything here is direct, on amplitude arrays and term-mask arrays: build the
 graph state (4096 or fewer real amplitudes) by doubling over the vertices,
 once per graph, and check the eigenvalue equations and Schmidt spectra
 numerically. Terms are applied by one route: the row-shifted products
-conj(psi[idx ^ x]) psi[idx] of the state viewed as a matrix, a block of terms
-at a time. <B> and the projector identity are two reductions of these
-blocks, each in O(block * 2^n) memory; no 4^n matrix is built. The oracle
-exists for trust, not scale; the dense cap keeps calls sub-second.
+p(idx) = conj(psi[idx ^ x]) psi[idx] of the state viewed as a matrix, a block
+of terms at a time. They pair up, p(idx ^ x) = conj(p(idx)), so a term whose
+x has a high bit takes only half of them. <B> and the projector identity are
+two reductions of these blocks, each in O(block * 2^n) memory; no 4^n matrix
+is built. The oracle exists for trust, not scale; the dense cap keeps calls
+sub-second.
 
 Qubit ordering is little-endian throughout: qubit 0 is the least significant
 bit of the amplitude index.
@@ -60,6 +62,8 @@ def statevector(g: Graph) -> StateVector:
     The amplitudes are real, float64 and read-only; they are shared with the
     other checks of the same graph.
     """
+    if g.n > DENSE_CAP:  # before the cache, which may hold a state from a higher cap
+        raise CapExceededError(f"dense oracle capped at {DENSE_CAP} qubits, got {g.n}")
     return StateVector(g.n, _amplitudes(g))
 
 
@@ -70,8 +74,6 @@ def _amplitudes(g: Graph) -> np.ndarray:
     As ``bell_terms`` builds e(S): for idx < 2^v, index idx + 2^v has the sign
     of idx times (-1)^popcount(idx & N(v)), the edges from v into the bits of idx.
     """
-    if g.n > DENSE_CAP:
-        raise CapExceededError(f"dense oracle capped at {DENSE_CAP} qubits, got {g.n}")
     size = 1 << g.n
     amps = np.empty(size)
     amps[0] = 1.0 / np.sqrt(size)
@@ -98,14 +100,21 @@ def check_stabilized(g: Graph) -> float:
 
 
 def _term_blocks(b: BellOperator, amplitudes: np.ndarray):
-    """Yield (t, p, lo, hi) for each block of terms t, in 256 KiB of real rows.
+    """Yield (t, p, lo, hi, halved) for each block of terms t, in 256 KiB of products.
 
-    p[k, h, l] = conj(psi[idx ^ x]) psi[idx] for term t[k], with psi viewed as
+    p[k, r, l] = conj(psi[idx ^ x]) psi[idx] for term t[k], with psi viewed as
     the matrix m[h, l] over the high bits and the low n//2 bits of idx, so
-    that conj(psi[idx ^ x]) is conj(m)[h ^ x_hi, l ^ x_lo]: the terms are
-    grouped by x_lo, each group permutes the columns once, and each term then
-    takes whole rows. The term's Z parity (-1)^popcount(idx & z) splits as
-    lo[k, l] hi[k, h], rows of two half-width +-1 tables. Real states stay real.
+    that conj(psi[idx ^ x]) is conj(m)[h ^ x_hi, l ^ x_lo]. A table holds the
+    column shifts conj(m)[h, cols ^ x_lo] for a chunk of x_lo values, at most
+    256 KiB, and each term of the chunk takes whole rows of it. The term's Z
+    parity (-1)^popcount(idx & z) splits as lo[k, l] hi[k, r], rows of two
+    half-width +-1 tables, hi taken at the term's rows r. Real states stay real.
+
+    The products pair up: p(j ^ x) = conj(psi[j]) psi[j ^ x] = conj(p(j)). So a
+    term with x_hi != 0 takes only the rows h whose bit k is clear, k the
+    lowest set bit of x_hi, and ``halved`` is true: its other products are
+    the conjugates of these, at j ^ x, whose bit k is set. Terms with
+    x_hi = 0 take every row. Terms are grouped by chunk, then by k.
     """
     low = b.n // 2
     chi_lo, chi_hi = (np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
@@ -113,17 +122,29 @@ def _term_blocks(b: BellOperator, amplitudes: np.ndarray):
     m = amplitudes.reshape(chi_hi.shape[0], chi_lo.shape[0])
     conj, rows, cols = m.conj(), np.arange(m.shape[0]), np.arange(m.shape[1])
     x, z = b.x_masks.astype(np.intp), b.z_masks.astype(np.intp)
-    x_lo, z_lo = x & (m.shape[1] - 1), z & (m.shape[1] - 1)
-    order = np.argsort(x_lo, kind="stable")
-    starts = np.flatnonzero(np.diff(x_lo[order], prepend=-1)).tolist() + [len(b)]
-    block = max(1, _BATCH_BYTES // amplitudes.nbytes)  # a term's taken rows are as big as the state
-    for start, stop in zip(starts, starts[1:]):
-        shifted = conj[:, cols ^ x_lo[order[start]]]
-        for first in range(start, stop, block):
-            t = order[first : min(first + block, stop)]
-            taken = np.take(shifted, rows ^ (x[t] >> low)[:, None], axis=0)
-            taken *= m
-            yield t, taken, chi_lo[z_lo[t]], chi_hi[z[t] >> low]
+    x_lo, z_lo, x_hi, z_hi = x & cols[-1], z & cols[-1], x >> low, z >> low
+    width = max(1, _BATCH_BYTES // amplitudes.nbytes)  # column shifts per table
+    chunk, bit = x_lo // width, x_hi & -x_hi  # bit 0: x_hi = 0, every row
+    order = np.lexsort((bit, chunk))
+    runs = np.flatnonzero(np.diff((chunk * rows.size + bit)[order], prepend=-1)).tolist()
+    table_of = -1
+    for start, stop in zip(runs, runs[1:] + [len(b)]):
+        first = order[start]
+        if chunk[first] != table_of:
+            table_of = chunk[first]
+            shifts = cols[table_of * width : (table_of + 1) * width]  # the last may be short
+            # conj(m)[h, cols ^ shifts[s]] is row h * shifts.size + s
+            table = conj[:, cols ^ shifts[:, None]].reshape(-1, cols.size)
+        kept = rows[rows & bit[first] == 0]
+        m_kept, hi_kept, halved = m[kept], chi_hi[:, kept], bit[first] != 0
+        block = max(1, _BATCH_BYTES // m_kept.nbytes)
+        ts = order[start:stop]
+        at = (kept ^ x_hi[ts, None]) * shifts.size + (x_lo[ts, None] - shifts[0])
+        for head in range(0, ts.size, block):
+            t = ts[head : head + block]
+            taken = np.take(table, at[head : head + block], axis=0)
+            taken *= m_kept
+            yield t, taken, chi_lo[z_lo[t]], hi_kept[z_hi[t]], halved
 
 
 def _weights(b: BellOperator) -> np.ndarray:
@@ -136,35 +157,45 @@ def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:
 
     <psi|t|psi> = w_t sum_idx conj(psi[idx^x]) psi[idx] (-1)^popcount(idx&z):
     for each block of ``_term_blocks``, a batched matmul with the low parity
-    rows, then a row-wise dot with the high ones.
+    rows, then a row-wise dot with the high ones. A halved block's sums count
+    twice: with chi_z the parity, chi_z(j ^ x) = chi_z(j) chi_z(x) and
+    w chi_z(x) = sign (-i)^|x&z| = conj(w), so the pair j, j ^ x adds
+    w chi_z(j) p(j) + conj(w chi_z(j) p(j)), and Re(w sum_all) = 2 Re(w sum_half).
     """
     sums = np.empty(len(b), dtype=amplitudes.dtype)
-    for t, p, lo, hi in _term_blocks(b, amplitudes):
-        sums[t] = np.einsum("th,th->t", np.matmul(p, lo[:, :, None])[:, :, 0], hi)
+    for t, p, lo, hi, halved in _term_blocks(b, amplitudes):
+        sums[t] = np.einsum("th,th->t", np.matmul(p, lo[:, :, None])[:, :, 0], hi) * (1 + halved)
     return float(np.real(_weights(b) @ sums))
 
 
 def quantum_bell_value(g: Graph) -> float:
     """Expectation of the full stabilizer sum on the graph state; equals 2^n.
 
-    ``_expectation`` takes the terms in blocks of 256 KiB of real rows (8 at n = 12).
+    ``_expectation`` reads half the products of each term with x_hi != 0, in
+    blocks of 256 KiB of real rows (16 such terms at n = 12).
     """
     state = statevector(g)  # refuses n > DENSE_CAP before the 2^n terms are built
     return _expectation(bell_terms(g), state.amplitudes)
 
 
 def projector_identity_residual(g: Graph) -> float:
-    """Entrywise residual of (sum of all stabilizer elements) - 2^n |G><G|.
+    """Entrywise residual of (sum of all stabilizer elements) - 2^n |G><G|."""
+    state = statevector(g)  # refuses n > DENSE_CAP before the 2^n terms are built
+    return _projector_residual(bell_terms(g), state.amplitudes)
+
+
+def _projector_residual(b: BellOperator, amplitudes: np.ndarray) -> float:
+    """Entrywise max of |(sum of the terms) - 2^n |psi><psi||, for one term per x mask.
 
     Column j of the term sum holds w chi_z(j) at row j ^ x, one term per row
-    (the x masks of ``bell_terms`` are the 2^n subsets, each once). There
-    2^n |G><G| holds 2^n psi[j ^ x] conj(psi[j]) = 2^n conj(p), with p from
-    ``_term_blocks``, so the entries are compared a block of terms at a time.
+    when the x masks are the 2^n subsets, each once, as in ``bell_terms``.
+    There 2^n |psi><psi| holds 2^n psi[j ^ x] conj(psi[j]) = 2^n conj(p), with
+    p from ``_term_blocks``, so the entries are compared a block of terms at a
+    time. Halved blocks need no correction: the entry at j ^ x is the
+    conjugate of the one at j, since w chi_z(x) = conj(w) (see ``_expectation``).
     """
-    state = statevector(g)  # refuses n > DENSE_CAP before the 2^n terms are built
-    b = bell_terms(g)
-    weights, scale, worst = _weights(b), float(1 << g.n), 0.0
-    for t, p, lo, hi in _term_blocks(b, state.amplitudes):
+    weights, scale, worst = _weights(b), float(1 << b.n), 0.0
+    for t, p, lo, hi, _ in _term_blocks(b, amplitudes):
         terms = weights[t, None, None] * (hi[:, :, None] * lo[:, None, :])
         worst = max(worst, float(np.max(np.abs(terms - scale * p.conj()))))
     return worst

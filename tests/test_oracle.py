@@ -23,7 +23,7 @@ from graphbell import (
 )
 from graphbell import oracle
 from graphbell.graph import iter_bits
-from graphbell.oracle import _expectation
+from graphbell.oracle import _expectation, _projector_residual
 from helpers import (
     PauliString,
     apply_pauli,
@@ -67,6 +67,15 @@ class TestStatevector:
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
             statevector(build_family(GraphFamily.LINEAR_CLUSTER, 13))
+
+    def test_lowered_cap_refuses_a_cached_state(self, monkeypatch):
+        g = build_family(GraphFamily.LINEAR_CLUSTER, 5)
+        statevector(g)
+        monkeypatch.setattr(oracle, "DENSE_CAP", 4)
+        for check in (check_stabilized, quantum_bell_value, projector_identity_residual,
+                      lambda g: schmidt_profile(g, 0b00011)):
+            with pytest.raises(CapExceededError):
+                check(g)
 
     def test_amplitudes_are_real_and_read_only(self):
         amps = statevector(build_family(GraphFamily.RING_CLUSTER, 5)).amplitudes
@@ -170,6 +179,22 @@ def random_state(seed: int, n: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def random_terms(seed: int, n: int, kind: str) -> BellOperator:
+    """2^n terms with random Z masks and signs, and X masks by ``kind``.
+
+    "each x once" holds every X mask once, shuffled, as ``bell_terms`` does;
+    "low x" only X masks within the low n // 2 bits, so that no term is
+    halved; "one x" one X mask with a high bit, repeated in every term.
+    """
+    rng = np.random.default_rng(seed)
+    size, low = 1 << n, 1 << n // 2
+    x = {"each x once": rng.permutation(size),
+         "low x": rng.integers(0, low, size),
+         "one x": np.full(size, rng.integers(low, size))}[kind]
+    return BellOperator(n, x.astype(np.uint32), rng.integers(0, size, size).astype(np.uint32),
+                        rng.choice([-1, 1], size).astype(np.int8))
+
+
 @st.composite
 def terms_with_odd_y(draw):
     """Random n <= 5 term list that always holds an all-Y term and a one-Y term."""
@@ -221,7 +246,35 @@ class TestBatchedExpectation:
         monkeypatch.setattr(oracle, "bell_terms", one_sign_flipped)
         assert quantum_bell_value(build_family(fam, n)) == pytest.approx((1 << n) - 2, abs=1e-9)
 
-    @pytest.mark.parametrize("terms_per_block", [None, 1])
+    @pytest.mark.parametrize("kind", ["each x once", "low x", "one x"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ragged_blocks_match_dense(self, monkeypatch, n, kind):
+        # 3 and 5 column shifts per table divide no 2^(n // 2) above 1
+        terms, amps = random_terms(n, n, kind), random_state(100 + n, n)
+        expected = float(np.real(np.vdot(amps, operator_matrix(terms) @ amps)))
+        residual = dense_projector_residual(terms, amps)
+        for terms_per_block in (3, 5):
+            monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
+            assert _expectation(terms, amps) == pytest.approx(expected, abs=1e-9)
+            if kind == "each x once":  # one term per row of the term sum
+                assert _projector_residual(terms, amps) == pytest.approx(residual, abs=1e-12)
+
+    def test_half_the_products_are_taken(self, monkeypatch):
+        # every term with a high X bit takes half its rows; the 2^(n // 2)
+        # others, whose X masks lie in the low bits, take all 2^n products
+        n, taken, blocks = 10, [], oracle._term_blocks
+
+        def counted(b, amplitudes):
+            for block in blocks(b, amplitudes):
+                taken.append(block[1].size)
+                yield block
+
+        monkeypatch.setattr(oracle, "_term_blocks", counted)
+        assert quantum_bell_value(build_family(GraphFamily.RING_CLUSTER, n)) == pytest.approx(
+            1 << n, abs=1e-9)
+        assert 0 < sum(taken) <= 4**n // 2 + (1 << n // 2) * (1 << n)
+
+    @pytest.mark.parametrize("terms_per_block", [None, 1, 3, 5])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_shuffled_terms_give_the_sorted_value(self, monkeypatch, n, terms_per_block):
         # an X<->Y swap on qubit 0 gives every term with an X or Y there an odd Y count
@@ -295,7 +348,7 @@ class TestProjectorIdentity:
         assert projector_identity_residual(g) == pytest.approx(2.0, abs=1e-12)
         assert quantum_bell_value(g) == pytest.approx((1 << n) - lost, abs=1e-9)
 
-    @pytest.mark.parametrize("terms_per_block", [None, 1])
+    @pytest.mark.parametrize("terms_per_block", [None, 1, 3, 5])
     def test_matches_dense_residual(self, monkeypatch, terms_per_block):
         rng = random.Random(1919)
         gs = [SINGLE] + [graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
@@ -308,6 +361,8 @@ class TestProjectorIdentity:
                 monkeypatch.setattr(oracle, "bell_terms", terms)
                 dense = dense_projector_residual(terms(g), amps)
                 assert projector_identity_residual(g) == pytest.approx(dense, abs=1e-12)
+                value = float(np.real(np.vdot(amps, operator_matrix(terms(g)) @ amps)))
+                assert quantum_bell_value(g) == pytest.approx(value, abs=1e-12)
 
     def test_cap_refused_before_terms_are_built(self, monkeypatch):
         def never(g):
