@@ -26,9 +26,12 @@ runs alternate between that checkout and this one, and the side that runs
 first swaps from one round to the next, so that a drift of the host between
 runs, or a cold first run, falls on both trees alike. The row then also
 holds the parent's medians and quartiles under ``parent_*`` keys, and the
-file the parent's commit and line count. A row whose two medians differ by
-no more than the parent's interquartile range is marked ``unresolved``: its
-runs spread too widely to tell the two sides apart.
+file the parent's commit and line count. A row is marked ``unresolved``,
+its runs spread too widely to tell the two sides apart, when its two
+medians differ by no more than the parent's interquartile range, or when
+neither side is faster in at least nine tenths of the rounds (all 5 at
+5 runs a side; a round is the i-th run of each side, and a tie counts for
+neither).
 
 The file is written at the root of the checkout. Standard library only; the
 exit status is 1 if any run did not exit 0.
@@ -49,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
+WIN_SHARE = 0.9  # of the rounds, one side must win this share for a row to be resolved
 
 MODULES = {"graphbell": "graphbell.cli", "pytest": "pytest"}  # program -> module run by -m
 
@@ -136,9 +140,13 @@ def summary(runs: list[tuple[float, float, int]], prefix: str = "", time_key: st
 
 
 def unresolved(row: dict, time_key: str) -> bool:
-    """True iff the row's two medians differ by no more than the parent's interquartile range."""
+    """True iff the row's two medians differ by no more than the parent's interquartile range,
+    or neither side is faster in WIN_SHARE of the rounds."""
     q1, q3 = row[f"parent_quartiles_{time_key}"]
-    return abs(row[time_key] - row[f"parent_{time_key}"]) <= q3 - q1
+    rounds = list(zip(row[f"parent_runs_{time_key}"], row[f"runs_{time_key}"]))
+    wins = max(sum(parent < change for parent, change in rounds),
+               sum(change < parent for parent, change in rounds))
+    return abs(row[time_key] - row[f"parent_{time_key}"]) <= q3 - q1 or wins < WIN_SHARE * len(rounds)
 
 
 def src_lines(root: Path = ROOT) -> int:

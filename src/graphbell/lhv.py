@@ -19,34 +19,33 @@ term S (x = S, z = ΓS) the count is |S & N(v)| + [v in ΓS], and v is in
 
 With Z pinned a term takes the value sign * (-1)^(<x, neg_x> + <y, e>) with
 e = neg_x ^ neg_y, since <y, neg_x> appears twice in that exponent. The
-search key of a term is x, and y = x & z must be a function of the key, as
-it is for every stabilizer element of a graph (term S has x = S and z = ΓS).
-So for each e, the Bell values over neg_x are one integer Walsh-Hadamard
-transform of the row merged[key] * (-1)^<y(key), e>, where merged sums the
-signs of the terms that share a key. The rows are transformed batch by
-batch with a running maximum, which covers every assignment exactly in a
-few batches of memory. When every term has an even number of Y letters, as
-every stabilizer element of a graph has, row e and row e ^ 1...1 are equal,
-so only the rows with e < 2^(n-1) are transformed; the twin of
-(neg_x, neg_y) is (neg_x, neg_y ^ 1...1).
+search takes a graph's term list, which ``operator_bound`` checks: 2^n
+terms (n >= 1), term j with x = j, each with an even number of Y letters
+(for term S they are S & ΓS, the odd-degree vertices of G[S]). So for each
+e the Bell values over neg_x are one integer Walsh-Hadamard transform of
+the row signs[key] * (-1)^<y(key), e>, key = x, and row e equals row
+e ^ 1...1: only the rows with e < 2^(n-1) are transformed, and the twin of
+(neg_x, neg_y) is (neg_x, neg_y ^ 1...1). The rows are transformed batch
+by batch with a running maximum, which covers every assignment exactly in
+a few batches of memory.
 
 A batch holds the rows of consecutive e laid out [key, e], e fastest, and
 the butterfly level of key bit k pairs runs of rows * 2^k cells. numpy's
 ufunc loop copies a strided operand through its 8192-element buffer when
-the operand's contiguous run is shorter than half that buffer, at several
+the operand's contiguous run is shorter than 4096 elements, at several
 times the cost per element. So a batch is transformed in two phases: the
-upper half of the key bits while they are the outer axis, then one
-transposed copy that swaps the two halves of the key, then the lower half,
-now outer. No butterfly run is shorter than rows * 2^(n // 2), and a
+upper n - n // 2 key bits while they are the outer axis, then one
+transposed copy that swaps the upper and lower key bits, then the lower
+n // 2, now outer. No butterfly run is shorter than rows * 2^(n // 2), and a
 maximum's position is read back through a table, per swapped key, of the
 packed (neg_x, neg_y) it stands for at e = 0.
 
 Batch `base`, the rows base <= e < base + 2^row_bits, is
-chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = merged[key] *
+chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = signs[key] *
 (-1)^<y(key), base> and H the Sylvester table H[a, e] = (-1)^<a, e>, built
-once per row count and type and read-only. It is written in place: the rows
-of H are gathered into the batch, which is then multiplied by chi, one sign
-per key. A search of one batch multiplies the gathered int8 rows by merged.
+once per row count and read-only. It is written in place: the rows of H
+are gathered into the batch, which is then multiplied by chi, one sign per
+key. A search of one batch multiplies the gathered rows by the signs.
 
 Phase B only adds and subtracts the cells of one column (k_hi, e) of phase
 A's result, over key_lo, so the sum of their magnitudes bounds every value
@@ -58,22 +57,20 @@ a 12-vertex family graph), only they are gathered, [key_lo, live], and
 finished; otherwise the whole batch goes through phase B.
 
 The buffers of a batch shape, their butterfly and swap views and the
-tie-break tables make a plan. Each thread keeps its last _PLAN_CACHE_SIZE
-plans of at most _PLAN_BYTES for reuse, so at most 2 MiB a thread; with
-these constants that covers every search of a graph with up to 8 vertices,
-each one batch. A larger plan is built for its one call.
+tie-break tables make a plan. Each thread keeps its plans of at most
+_PLAN_BYTES; with these constants a batch shape depends on n alone, so
+that is one plan, of one batch, for each n <= 8 (174 KiB in all). A larger
+plan is built for its one call.
 
-Rows are int16 when there are fewer than 2^15 terms and int32 otherwise.
-Every partial sum of a transform is a signed sum of term signs, so it is
-bounded by the term count and both widths are exact. Ties are broken
-towards the lexicographically smallest (neg_x, neg_y), whatever order the
-batches are visited in.
+Rows are int16: a search has at most 2^14 terms, and every partial sum of
+a transform or of phase-A magnitudes is bounded by the term count. Ties
+are broken towards the lexicographically smallest (neg_x, neg_y), whatever
+order the batches are visited in.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,9 +90,8 @@ _BATCH_BYTES = 1 << 19
 # the contiguous run of its chi multiply and phase copy; numpy's loop buffers runs that short,
 # which is why the butterflies run in two phases, on runs of rows * 2^(n // 2) or more
 _MIN_BATCH_ROWS = 16
-_SIGNS = np.array([1, -1], dtype=np.int8)
+_SIGNS = np.array([1, -1], dtype=np.int16)  # in the row type: a mixed-type multiply is buffered
 _PLAN_BYTES = 1 << 18  # the largest plan kept: every one of a graph of up to 8 vertices
-_PLAN_CACHE_SIZE = 8  # plans kept per thread, each of at most _PLAN_BYTES: 2 MiB a thread
 _LIVE_SHARE = 8  # a batch finishes its live columns alone when at most 1/8 of them are live
 
 METHOD_EXHAUSTIVE = "exhaustive"
@@ -182,9 +178,9 @@ def search_space(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hadamard(bits: int, dtype) -> np.ndarray:
-    """The read-only Sylvester table H[a, e] = (-1)^<a, e> over a, e < 2^bits."""
-    table = np.ones((1, 1), dtype=dtype)
+def _hadamard(bits: int) -> np.ndarray:
+    """The read-only int16 Sylvester table H[a, e] = (-1)^<a, e> over a, e < 2^bits."""
+    table = np.ones((1, 1), dtype=np.int16)
     for _ in range(bits):  # doubling: [[H, H], [H, -H]]
         table = np.block([[table, table], [table, -table]])
     table.flags.writeable = False
@@ -211,13 +207,12 @@ class _Plan(NamedTuple):
         return 2 * self.batch.nbytes + self.lex.nbytes + self.lex_e.nbytes
 
 
-def _build_plan(n: int, half: bool, row_bits: int, dtype) -> _Plan:
+def _build_plan(n: int, row_bits: int) -> _Plan:
     size, rows = 1 << n, 1 << row_bits
-    twin = (1 << n) - 1 if half else 0
     # one block, so that the two buffers lie a whole number of pages apart: two heap blocks lie
     # 16 bytes off that, and then a butterfly's stores alias (4 KiB apart) the loads it makes
     # next, which made an 8 MiB batch (2^18 keys, 16 rows) about 40% slower
-    both = np.empty(2 * size * rows, dtype=dtype)
+    both = np.empty(2 * size * rows, dtype=np.int16)
     bufs = (both[: size * rows], both[size * rows :])
 
     def butterflies(levels, first):
@@ -236,12 +231,12 @@ def _build_plan(n: int, half: bool, row_bits: int, dtype) -> _Plan:
     lo = n // 2
     hi = n - lo
     # lex packs (neg_x, neg_y) most significant first, in 2n <= 28 bits, with
-    # neg_y = e ^ neg_x. With twins, e < 2^(n-1), so the top bit of neg_y is
-    # that of neg_x, and the smaller twin is e ^ min(neg_x, neg_x ^ twin)
+    # neg_y = e ^ neg_x. As e < 2^(n-1), the top bit of neg_y is that of
+    # neg_x, and the smaller twin is e ^ min(neg_x, neg_x ^ 1...1)
     col = np.arange(size, dtype=np.int32)
     lex = (col & ((1 << hi) - 1)) << lo  # the swapped key, neg_x
     lex |= col >> hi
-    s = np.minimum(lex, lex ^ twin)
+    s = np.minimum(lex, lex ^ (size - 1))
     lex <<= n
     lex |= s
     return _Plan(
@@ -254,7 +249,7 @@ def _build_plan(n: int, half: bool, row_bits: int, dtype) -> _Plan:
         out=bufs[(n + 1) % 2],
         ties=bufs[n % 2].view(np.bool_)[: size * rows],
         lex=lex,
-        lex_e=np.arange(1 << (n - half), dtype=np.int32),
+        lex_e=np.arange(1 << (n - 1), dtype=np.int32),
     )
 
 
@@ -262,87 +257,78 @@ class _PlanCache(threading.local):
     """Each thread's own plans, so no two threads ever write the same buffers."""
 
     def __init__(self):
-        self.plans: OrderedDict[tuple, _Plan] = OrderedDict()
+        self.plans: dict[tuple[int, int], _Plan] = {}
 
 
 _plans = _PlanCache()
 
 
-def _plan(*key) -> _Plan:
-    """The plan of (n, half, row_bits, dtype): from this thread's cache, or built.
+def _plan(n: int, row_bits: int) -> _Plan:
+    """The plan of (n, row_bits): from this thread's cache, or built.
 
-    A plan of at most _PLAN_BYTES is kept, the least recently used one
-    leaving when there are more than _PLAN_CACHE_SIZE; a larger one serves
-    one call.
+    A plan of at most _PLAN_BYTES is kept and a larger one serves one call.
+    Keys have n <= 14 and row_bits < n, so the cache is bounded whatever
+    the batch constants are.
     """
     plans = _plans.plans
-    plan = plans.get(key)
-    if plan is not None:
-        plans.move_to_end(key)
-        return plan
-    plan = _build_plan(*key)
-    if plan.nbytes <= _PLAN_BYTES:
-        plans[key] = plan
-        if len(plans) > _PLAN_CACHE_SIZE:
-            plans.popitem(last=False)
+    plan = plans.get((n, row_bits))
+    if plan is None:
+        plan = _build_plan(n, row_bits)
+        if plan.nbytes <= _PLAN_BYTES:
+            plans[n, row_bits] = plan
     return plan
 
 
 def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
-    """Exact max of |<B>| over the Z-pinned LHV models of a term list.
+    """Exact max of |<B>| over the Z-pinned LHV models of a graph's term list.
 
-    Returns (c, argmax, search_space). The Z settings are pinned to +1, so
-    the space is 4^n; that is the exact maximum over all 8^n models when
-    ``z_pinning_certified`` holds, as it does for every graph. A term list
-    whose Y letters are not fixed by each term's X mask raises
-    ``ValueError``. The argmax is the lexicographically smallest
-    (neg_x, neg_y) pair achieving the maximum, whatever order the search
-    visits assignments in.
+    Returns (c, argmax, search_space). The list must be one that
+    ``bell_terms`` builds: 2^n terms with n >= 1, term j with X mask j, and
+    an even number of Y letters in every term; any other list raises
+    ``ValueError``. The Z settings are pinned to +1, so the space is 4^n;
+    that is the exact maximum over all 8^n models when
+    ``z_pinning_certified`` holds, as it does for every graph. The argmax is
+    the lexicographically smallest (neg_x, neg_y) pair achieving the
+    maximum, whatever order the search visits assignments in.
 
-    The search is the change of basis of the module docstring: rows of about
-    _BATCH_BYTES are transformed while a running maximum is kept, so memory
-    is a few batch-sized buffers, not a cell per assignment. If no term has
-    an odd number of Y letters, the upper half of the rows is covered by
-    their twins in the lower half. More qubits than ``search_limit`` are
-    refused before anything is allocated.
+    The search is the change of basis of the module docstring, in batches of
+    about _BATCH_BYTES with a running maximum, so memory is a few
+    batch-sized buffers. More qubits than ``search_limit`` are refused
+    before anything is allocated.
     """
     n = b.n
     space = search_space(n)
     size = 1 << n
     x, z = b.x_masks, b.z_masks
+    if n < 1 or len(b) != size or not np.array_equal(x, np.arange(size)):
+        raise ValueError("the exact search takes a graph's term list: 2^n terms with n >= 1, "
+                         "term j with X mask j")
     y = x & z
-    keys = x.astype(np.intp)
-    y_of_key = np.zeros(size, dtype=y.dtype)  # a key no term has merges to 0, whatever its y
-    y_of_key[keys] = y
-    if not (y_of_key[keys] == y).all():
-        raise ValueError("pinning Z needs terms whose Y letters are fixed by their X mask")
-    full = (1 << n) - 1
-    half = n > 0 and not (np.bitwise_count(y) & 1).any()  # rows e and e ^ full are equal
-    dtype = np.int16 if len(b) < 1 << 15 else np.int32
-    merged = np.bincount(keys, weights=b.signs, minlength=size).astype(dtype)
+    if (np.bitwise_count(y) & 1).any():
+        raise ValueError("the exact search takes a graph's term list: "
+                         "an even number of Y letters in every term")
+    signs = b.signs.astype(np.int16)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
     # with e fastest (see _MIN_BATCH_ROWS)
-    fit = (_BATCH_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 - n
-    row_bits = min(n - half, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
+    fit = (_BATCH_BYTES // 2).bit_length() - 1 - n
+    row_bits = min(n - 1, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
-    plan = _plan(n, half, row_bits, dtype)
+    plan = _plan(n, row_bits)
     batch, out = plan.batch, plan.out
-    batches = range(0, 1 << (n - half), rows)
-    if len(batches) == 1:  # merged[key] * H[y(key), e]
-        np.multiply(_hadamard(row_bits, np.int8).take(y_of_key & (rows - 1), axis=0),
-                    merged[:, None], out=batch)
-    else:  # batch `base` is chi[key] * H[y(key) mod rows, e], chi = merged * (-1)^<y(key), base>
-        table = _hadamard(row_bits, dtype)  # in the row type: take(out=batch) casts no type
-        y_lo = (y_of_key & (rows - 1)).astype(np.intp)
-        signs = _SIGNS.astype(dtype)  # chi in the row type: a mixed-type multiply is buffered
-        chi = np.empty(size, dtype=dtype)  # refilled in place, one allocation a search
+    batches = range(0, 1 << (n - 1), rows)
+    table = _hadamard(row_bits)
+    if len(batches) == 1:  # signs[key] * H[y(key), e]
+        np.multiply(table.take(y & (rows - 1), axis=0), signs[:, None], out=batch)
+    else:  # batch `base` is chi[key] * H[y(key) mod rows, e], chi = signs * (-1)^<y(key), base>
+        y_lo = (y & (rows - 1)).astype(np.intp)
+        chi = np.empty(size, dtype=np.int16)  # refilled in place, one allocation a search
     lo = n // 2
     hi = n - lo
     best, best_key = -1, 0
     for base in batches:
         if len(batches) > 1:
-            signs.take(np.bitwise_count(y_of_key & base) & 1, out=chi)
-            chi *= merged
+            _SIGNS.take(np.bitwise_count(y & base) & 1, out=chi)
+            chi *= signs
             table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
             batch *= chi[:, None]
         for s0, s1, d0, d1 in plan.phase_a:
@@ -389,7 +375,7 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
         key = int(lex.min())
         if m > best or key < best_key:
             best, best_key = m, key
-    return best, Assignment(best_key >> n, best_key & full), space
+    return best, Assignment(best_key >> n, best_key & (size - 1)), space
 
 
 def classical_bound(g: Graph) -> BoundReport:

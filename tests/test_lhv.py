@@ -180,6 +180,8 @@ class TestClassicalBound:
         terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, 20))
         with pytest.raises(CapExceededError, match="assignment limit"):
             operator_bound(terms)
+        with pytest.raises(CapExceededError, match="assignment limit"):  # before the list check
+            operator_bound(reordered(terms, np.arange(3)))
 
     def test_table_limit_boundary(self, monkeypatch):
         assert search_limit() == 14
@@ -219,10 +221,32 @@ class TestZRestriction:
                 assert c_restricted == reference_scan(b, pin_z=False)[0]
                 assert z_pinning_certified(b, g.adj)
 
-    def test_pinning_needs_y_letters_fixed_by_the_x_mask(self):
-        b = BellOperator(2, np.array([0b11, 0b11], dtype=np.uint32),
-                         np.array([0b00, 0b10], dtype=np.uint32), np.array([1, 1], dtype=np.int8))
-        with pytest.raises(ValueError, match="Y letters"):
+
+def reordered(b: BellOperator, order) -> BellOperator:
+    """The terms of ``b`` at the indices ``order``, in that order."""
+    return BellOperator(b.n, b.x_masks[order], b.z_masks[order], b.signs[order])
+
+
+class TestGraphListPrecondition:
+    """operator_bound takes a graph's term list: 2^n terms, n >= 1, term j with X mask j, even Y."""
+
+    @pytest.mark.parametrize("broken, broken_part", [
+        pytest.param(lambda b: reordered(b, np.arange(len(b) - 1)), "X mask j", id="one-term-short"),
+        pytest.param(lambda b: reordered(b, np.r_[np.arange(len(b)), 5]), "X mask j",
+                     id="one-term-extra"),
+        pytest.param(lambda b: reordered(b, np.random.default_rng(3).permutation(len(b))), "X mask j",
+                     id="x-masks-shuffled"),
+        pytest.param(lambda b: reordered(b, np.r_[0, 0, np.arange(2, len(b))]), "X mask j",
+                     id="x-mask-repeated"),
+        # the X<->Y swap on qubit 0 keeps every X mask and turns some term's Y count odd
+        pytest.param(lambda b: apply_permutation(b, 0, "1YXZ"), "even number of Y letters",
+                     id="odd-y-count"),
+        pytest.param(lambda b: term_list([PauliString(0, 0, 0, 1)]), "n >= 1", id="zero-qubits"),
+    ])
+    def test_refuses_a_list_that_is_not_a_graphs(self, broken, broken_part):
+        b = broken(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)))
+        message = f"the exact search takes a graph's term list: .*{broken_part}"
+        with pytest.raises(ValueError, match=message):
             operator_bound(b)
 
 
@@ -275,16 +299,6 @@ def small_batches(monkeypatch) -> None:
     monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
 
 
-def repeated_term(text: str, copies: int) -> BellOperator:
-    t = PauliString.from_text(text)
-    return BellOperator(
-        t.n,
-        np.full(copies, t.x_mask, dtype=np.uint32),
-        np.full(copies, t.z_mask, dtype=np.uint32),
-        np.full(copies, t.sign, dtype=np.int8),
-    )
-
-
 def counter_index(a: Assignment, n: int) -> int:
     """Position of a Z-pinned assignment in the pinned reference scan's counter order."""
     return a.neg_x << n | a.neg_y
@@ -329,67 +343,9 @@ class TestDeterminism:
                 for ops in (b, apply_permutation(b, 0, "Y1ZX"), apply_permutation(b, n - 1, "ZYX1")):
                     assert reference_scan(ops, pin_z=False)[0] == c
 
-    @pytest.mark.parametrize("copies", [2**15 - 1, 2**15, 40_000])
-    def test_row_width_holds_the_term_count(self, monkeypatch, copies):
-        # int16 rows hold 32767 copies of one term; 32768 and more need int32
-        small_batches(monkeypatch)
-        b = repeated_term("-YX", copies)
-        assert operator_bound(b)[:2] == (copies, ALL_PLUS)
-
-
-def random_term_list(rng: random.Random, n: int, odd_y: bool) -> BellOperator:
-    """Up to 12 random terms, each term's Y letters fixed by its X mask so Z can be pinned.
-
-    Every term has an even number of Y letters, except the first when ``odd_y``.
-    """
-    y_of_x: dict[int, int] = {}
-    texts = []
-    for k in range(rng.randint(1, 12)):
-        odd = odd_y and k == 0
-        x = rng.randrange(odd, 1 << n)
-        if x not in y_of_x:
-            y = rng.randrange(1 << n) & x
-            if y.bit_count() % 2 != odd:
-                y ^= x & -x  # turn the lowest qubit of x from X to Y or back
-            y_of_x[x] = y
-        y = y_of_x[x]
-        z_letters = rng.randrange(1 << n) & ~x
-        letters = "".join("Y" if y >> q & 1 else "X" if x >> q & 1 else
-                          "Z" if z_letters >> q & 1 else "1" for q in range(n))
-        texts.append(rng.choice("+-") + letters)
-    return term_list([PauliString.from_text(text) for text in texts])
-
 
 class TestTwinRows:
-    """Rows e and e ^ 1...1 are equal exactly when every term has an even number of Y letters."""
-
-    @pytest.mark.parametrize("wide", [True, False])
-    @pytest.mark.parametrize("batches", ["default", "small"])
-    def test_odd_y_maximum_lies_in_the_upper_half(self, monkeypatch, wide, batches):
-        # 1 - (-1)^neg_y reaches 2 only when the Y qubit's neg_y bit is set, so e = neg_x ^ neg_y
-        # is in the upper half for the smallest maximizer, (0, 1) on one qubit or (0, 2) on two
-        if batches == "small":
-            small_batches(monkeypatch)
-        texts = ["+11", "-1Y"] if wide else ["+1", "-Y"]
-        c, argmax, _ = operator_bound(term_list([PauliString.from_text(t) for t in texts]))
-        assert (c, argmax) == (2, Assignment(0, 2 if wide else 1))
-
-    @pytest.mark.parametrize("negated", [True, False])
-    def test_zero_qubits_has_no_twin(self, negated):
-        # with n = 0 the single row e = 0 is its own twin, so nothing is halved; c is |sum|
-        signs = (1, 1, -1, 1) if negated else (-1, -1, 1, -1)
-        b = term_list([PauliString(0, 0, 0, sign) for sign in signs])
-        assert operator_bound(b) == (2, ALL_PLUS, 1)
-
-    @pytest.mark.parametrize("odd_y", [True, False])
-    def test_reference_scan_on_random_term_lists(self, monkeypatch, odd_y):
-        small_batches(monkeypatch)
-        rng = random.Random(20261018 + odd_y)
-        for _ in range(120):
-            n = rng.randint(1, 4)
-            b = random_term_list(rng, n, odd_y=odd_y)
-            c, argmax, _ = operator_bound(b)
-            assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
+    """Every graph term has an even number of Y letters, so rows e and e ^ 1...1 are equal."""
 
     def test_every_graph_term_has_even_y(self):
         for n in range(1, 6):
@@ -408,12 +364,11 @@ class TestTwinRows:
 class TestBatchLayout:
     """The two-phase transform (hi key bits, one transposed copy, lo key bits) in every batch shape.
 
-    The key has n bits, so the searches of odd n have hi = lo + 1, n = 1
-    has one key bit and n = 0 none. Lists with odd Y counts search every
-    row, the others half of them.
+    The key has n bits, so the searches of odd n have hi = lo + 1 and n = 1
+    has one key bit. Every search transforms the rows e < 2^(n-1).
     """
 
-    @pytest.mark.parametrize("odd_y", [True, False])
+    @pytest.mark.parametrize("connected", [True, False])
     @pytest.mark.parametrize("batch_bytes, min_rows", [
         (1 << 19, 16),  # the defaults: every search here is one batch
         (1 << 18, 16),  # half the default cap: still one batch for every search here
@@ -421,15 +376,17 @@ class TestBatchLayout:
         (1, 2),  # 2 rows a batch
         (1, 1),  # 1 row a batch
     ])
-    def test_reference_scan_in_every_batch_shape(self, monkeypatch, odd_y, batch_bytes, min_rows):
+    def test_reference_scan_in_every_batch_shape(self, monkeypatch, connected, batch_bytes, min_rows):
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", batch_bytes)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", min_rows)
-        rng = random.Random(batch_bytes * 31 + min_rows * 2 + odd_y)
-        zero = term_list([PauliString(0, 0, 0, sign) for sign in (-1, 1, -1, -1)])
-        assert operator_bound(zero) == (2, ALL_PLUS, 1)
+        rng = random.Random(batch_bytes * 31 + min_rows * 2 + connected)
         for n in range(1, 8):
             for _ in range(8):
-                b = random_term_list(rng, n, odd_y=odd_y)
+                if connected:
+                    g = random_connected_graph(rng, n, extra_edge_prob=rng.random())
+                else:  # labelled edges at random, often disconnected
+                    g = graph_from_edge_mask(n, rng.randrange(1 << n * (n - 1) // 2))
+                b = bell_terms(g)
                 c, argmax, _ = operator_bound(b)
                 assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
 
@@ -468,20 +425,12 @@ class TestPrunedBatches:
         cases = [bell_terms(relabelled(build_family(fam, n), rng))
                  for fam in (GraphFamily.FULLY_CONNECTED, GraphFamily.STAR, GraphFamily.RING_CLUSTER)
                  for n in (5, 6, 8)]
-        # lists with odd Y counts search every row, the upper half included
-        cases += [random_term_list(rng, n, odd_y=True) for n in (5, 6, 7)]
         for b in cases:
             expected = reference_scan(b, pin_z=True)
             for share in (1, 8, 1 << 30):
                 monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", share)
                 c, argmax, _ = operator_bound(b)
                 assert (c, counter_index(argmax, b.n)) == expected
-
-    def test_int32_rows_finish_their_live_columns(self, monkeypatch):
-        small_batches(monkeypatch)
-        monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", 1)
-        b = repeated_term("-YX", 40_000)
-        assert operator_bound(b)[:2] == (40_000, ALL_PLUS)
 
     def test_low_d_random_graphs_match_one_batch(self, monkeypatch):
         # in batches of 4 rows, the second graph sends 52 batches through phase B with more than an
@@ -507,49 +456,50 @@ class TestPrunedBatches:
 
 
 class TestPlanReuse:
-    """Batch plans are kept per thread, at most _PLAN_CACHE_SIZE of at most _PLAN_BYTES each."""
+    """Batch plans of at most _PLAN_BYTES are kept per thread: one for each n <= 8."""
 
     def test_two_threads_match_serial_within_the_cache_bounds(self):
         rng = random.Random(16)
-        gs = [random_connected_graph(rng, n) for _ in range(4) for n in range(1, 10)]
-        # lists of 2..4 qubits with odd Y counts search every row, which adds plan shapes, so the
-        # cache also evicts
-        ops = [random_term_list(rng, n, odd_y=True) for _ in range(4) for n in (2, 3, 4)]
+        gs = [random_connected_graph(rng, n) for _ in range(4) for n in range(1, 11)]
+        rng.shuffle(gs)
 
-        def solve(job):
-            kind, arg = job
-            if kind == "graph":
-                result = classical_bound(arg)
-            else:
-                result = operator_bound(arg)
+        def solve(g):
             cache = lhv._plans.plans
+            result = classical_bound(g)
             sizes = [plan.nbytes for plan in cache.values()]
-            return result, len(sizes), sizes, threading.get_ident(), id(cache)
+            return result, list(cache), sizes, threading.get_ident(), id(cache)
 
-        jobs = [("graph", g) for g in gs] + [("ops", b) for b in ops]
-        random.Random(61).shuffle(jobs)
-        serial = [classical_bound(arg) if kind == "graph" else operator_bound(arg)
-                  for kind, arg in jobs]
+        serial = [classical_bound(g) for g in gs]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(solve, jobs))
+            results = list(pool.map(solve, gs, timeout=120))
         assert [result for result, *_ in results] == serial
-        for _, count, sizes, _, _ in results:
-            assert count <= lhv._PLAN_CACHE_SIZE
+        for _, keys, sizes, _, _ in results:
+            assert {n for n, _ in keys} <= set(range(1, 9))
             assert all(size <= lhv._PLAN_BYTES for size in sizes)
-            assert sum(sizes) <= lhv._PLAN_CACHE_SIZE * lhv._PLAN_BYTES <= 2 << 20
-        assert max(count for _, count, *_ in results) == lhv._PLAN_CACHE_SIZE
         # each worker thread has a cache of its own, not the main thread's
         caches = {thread: cache for *_, thread, cache in results}
         assert len(set(caches.values())) == len(caches)
         assert id(lhv._plans.plans) not in caches.values()
 
+    def test_a_thread_keeps_one_plan_for_each_n_up_to_8(self):
+        def solve_one_to_fourteen():
+            for n in range(1, 15):
+                classical_bound(build_family(GraphFamily.LINEAR_CLUSTER, n) if n > 1
+                                else from_edges(1, []))
+            return {key: plan.nbytes for key, plan in lhv._plans.plans.items()}
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, so an empty cache
+            sizes = pool.submit(solve_one_to_fourteen).result(timeout=120)
+        assert sorted(sizes) == [(n, n - 1) for n in range(1, 9)]  # each one batch of every row
+        assert sum(sizes.values()) < 192 << 10
+
     def test_graphs_up_to_8_vertices_reuse_one_plan(self):
         for n in range(1, 9):
             g = build_family(GraphFamily.LINEAR_CLUSTER, n) if n > 1 else from_edges(1, [])
             first = classical_bound(g)
-            plan = next(reversed(lhv._plans.plans.values()))
+            plan = lhv._plans.plans[n, n - 1]
             assert classical_bound(g) == first
-            assert next(reversed(lhv._plans.plans.values())) is plan
+            assert lhv._plans.plans[n, n - 1] is plan
         plans_before = list(lhv._plans.plans)
         classical_bound(build_family(GraphFamily.RING_CLUSTER, 9))  # two 256 KiB buffers: not kept
         assert list(lhv._plans.plans) == plans_before

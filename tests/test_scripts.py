@@ -153,15 +153,17 @@ def test_bench_rows_marks_rows_whose_runs_spread_past_the_gap(monkeypatch, tmp_p
     runs = {"wide": {ROOT: itertools.cycle([1.0, 1.4, 1.2, 1.6, 1.1]),
                      tmp_path: itertools.cycle([1.1] * 5)},
             "narrow": {ROOT: itertools.cycle([1.19, 1.2, 1.21, 1.2, 1.2]),
-                       tmp_path: itertools.cycle([1.1] * 5)}}
+                       tmp_path: itertools.cycle([1.1] * 5)},
+            # medians 0.1 apart, past a parent IQR of 0, but the change wins 4 rounds of 5
+            "split": {ROOT: itertools.cycle([1.2] * 5),
+                      tmp_path: itertools.cycle([1.1, 1.1, 1.3, 1.1, 1.1])}}
 
     def fake_run(argv, env, root):
         return next(runs[argv[1]][root]), 30.0, 0
 
     monkeypatch.setattr(bench_rows, "run_once", fake_run)
     monkeypatch.setattr(bench_rows, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_rows, "ROWS", {"wide": ["graphbell", "wide"],
-                                             "narrow": ["graphbell", "narrow"]})
+    monkeypatch.setattr(bench_rows, "ROWS", {name: ["graphbell", name] for name in runs})
     monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--label", "t", "--parent", str(ROOT)])
     assert bench_rows.main() == 0
     rows = json.loads((tmp_path / "BENCH_t.json").read_text())["rows"]
@@ -169,6 +171,9 @@ def test_bench_rows_marks_rows_whose_runs_spread_past_the_gap(monkeypatch, tmp_p
     assert (rows["wide"]["wall_s"], rows["wide"]["parent_wall_s"]) == (1.1, 1.2)
     assert rows["wide"]["unresolved"] is True
     assert rows["narrow"]["unresolved"] is False
+    assert (rows["split"]["wall_s"], rows["split"]["parent_quartiles_wall_s"]) == (1.1, [1.2, 1.2])
+    assert rows["split"]["unresolved"] is True
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("wide") and lines[0].split()[-3] == "unresolved"
     assert lines[1].startswith("narrow") and "unresolved" not in lines[1]
+    assert lines[2].startswith("split") and lines[2].split()[-3] == "unresolved"
