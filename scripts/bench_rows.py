@@ -14,12 +14,19 @@ child's own maximum resident set size). The file also records the machine
 and the line count of ``src/``, so that removals show up next to timings.
 
 The ``call-*`` rows time one library call itself, without start-up: each
-run's child builds a ring-cluster graph, calls the function the row names
-(``classical_bound``, ``quantum_bell_value`` or
-``projector_identity_residual``) until the calls take 0.2 s, then reports
-the best per-call time of 5 such loops (``timeit``). The oracle's calls
-after the first reuse its cached state, as the checks of one graph do. The
-row's ``call_s`` is the median of those bests.
+run's child builds a family graph, calls the function the row names
+(``classical_bound``, ``quantum_bell_value``,
+``projector_identity_residual`` or ``bridge_compose_bound``) until the calls
+take 0.2 s, then reports the best per-call time of 5 such loops
+(``timeit``). The oracle's calls after the first reuse its cached state, as
+the checks of one graph do. The composer's calls after the first reuse the
+process-wide cache of exact piece values (``bounds._exact_d_of``), so its
+rows time the composer's own work: bridge finding, splitting and cache
+lookups. The row's ``call_s`` is the median of those bests.
+
+Before the first round every checkout's ``src/`` is byte-compiled
+(``compileall``), so that no side imports from source while the other reads
+cached bytecode; the file records that under ``compiled_src``.
 
 A row also records the quartiles of its runs. With ``--parent``, each row's
 runs alternate between that checkout and this one, and the side that runs
@@ -40,6 +47,7 @@ exit status is 1 if any run did not exit 0.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -70,8 +78,11 @@ ROWS = {
     **{f"call-rc-{n}": ["call", "classical_bound", "rc", str(n)] for n in (4, 6, 8, 9, 12, 14)},
     "call-qbv-rc-12": ["call", "quantum_bell_value", "rc", "12"],
     "call-proj-rc-10": ["call", "projector_identity_residual", "rc", "10"],
+    "call-compose-lc-30": ["call", "bridge_compose_bound", "lc", "30"],
+    "call-compose-fc-20": ["call", "bridge_compose_bound", "fc", "20"],
 }
-CALLS = ("classical_bound", "quantum_bell_value", "projector_identity_residual")
+CALLS = ("classical_bound", "quantum_bell_value", "projector_identity_residual",
+         "bridge_compose_bound")
 CALL_REPEATS = 5  # timed loops per call-row run; the run reports the best
 
 
@@ -149,6 +160,11 @@ def unresolved(row: dict, time_key: str) -> bool:
     return abs(row[time_key] - row[f"parent_{time_key}"]) <= q3 - q1 or wins < WIN_SHARE * len(rounds)
 
 
+def compile_src(root: Path) -> bool:
+    """Byte-compile checkout ``root``'s ``src/`` for this interpreter; True iff every file compiled."""
+    return bool(compileall.compile_dir(root / "src", quiet=2))
+
+
 def src_lines(root: Path = ROOT) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
@@ -199,6 +215,7 @@ def main() -> int:
         parser.error(f"--parent {args.parent} holds no src/graphbell")
 
     roots = [ROOT] if args.parent is None else [args.parent.resolve(), ROOT]
+    compiled = [compile_src(root) for root in roots]
     rows, failed = {}, False
     for name, argv in ROWS.items():
         key = "call_s" if argv[0] == "call" else "wall_s"
@@ -215,9 +232,10 @@ def main() -> int:
             line += "  unresolved" if rows[name]["unresolved"] else ""
         print(f"{line}  exit {sorted(codes)}", flush=True)
     report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
-              "repeats": REPEATS}
+              "compiled_src": compiled[-1], "repeats": REPEATS}
     if args.parent is not None:
-        report["parent"] = {"commit": commit(roots[0]), "src_lines": src_lines(roots[0])}
+        report["parent"] = {"commit": commit(roots[0]), "src_lines": src_lines(roots[0]),
+                            "compiled_src": compiled[0]}
     report["rows"] = rows
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -25,8 +25,6 @@ from .graph import (
     induced_subgraph,
     is_tree,
     iter_bits,
-    reach,
-    without_edge,
 )
 from .lhv import classical_bound
 
@@ -198,10 +196,11 @@ class _Composer:
         self.cap = cap
         self.exhaustive = exhaustive
         self.memo: dict[int, DerivationStep] = {}
-        # u's side of each bridge (u, v) of g, u < v. Every edge leaving a piece
-        # is a bridge of g and no path crosses a bridge and comes back, so a
-        # piece's bridges are g's inside it, with sides cut to the piece.
-        self.sides = {e: reach(without_edge(g.adj, *e), e[0]) for e in bridges(g)}
+        # u's side of each bridge (u, v) of g, u < v, all found by the one
+        # spanning-forest pass of ``bridges``. Every edge leaving a piece is a
+        # bridge of g and no path crosses a bridge and comes back, so a piece's
+        # bridges are g's inside it, with sides cut to the piece.
+        self.sides = bridges(g)
 
     def run(self, piece: int) -> DerivationStep:
         if piece in self.memo:

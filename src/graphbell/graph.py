@@ -211,11 +211,8 @@ def local_complement(g: Graph, v: int) -> Graph:
 
 
 def reach(adj, start: int) -> int:
-    """Mask of the vertices reachable from ``start``.
-
-    ``adj`` is any per-vertex sequence of neighbor masks, so callers can pass
-    an adjacency with edges cut out of it.
-    """
+    """Mask of the vertices reachable from ``start``; ``adj`` is any per-vertex
+    sequence of neighbor masks."""
     comp = frontier = 1 << start
     while frontier:
         nxt = 0
@@ -224,14 +221,6 @@ def reach(adj, start: int) -> int:
         frontier = nxt & ~comp
         comp |= frontier
     return comp
-
-
-def without_edge(adj, u: int, v: int) -> list[int]:
-    """Copy of a neighbor-mask sequence with the edge {u, v} removed."""
-    cut = list(adj)
-    cut[u] &= ~(1 << v)
-    cut[v] &= ~(1 << u)
-    return cut
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -254,15 +243,40 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.edge_count() == g.n - 1
 
 
-def bridges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose removal increases the number of connected components.
+def bridges(g: Graph) -> dict[tuple[int, int], int]:
+    """Each bridge (u, v), u < v, in edge order, mapped to the vertex mask of u's side.
 
-    An edge {u, v} is a bridge iff v is no longer reachable from u without it.
+    A bridge is an edge whose removal increases the number of connected
+    components. One pass over a BFS spanning forest finds them all: every
+    bridge lies on every spanning tree, and a tree edge (p, c), c the child,
+    is a bridge iff it is the only edge that leaves c's subtree, that is iff
+    the neighbors of the subtree outside it are {p} and p's neighbors in it
+    are {c}. The second half always holds in a BFS tree: adjacent vertices
+    lie at most one level apart, and c's descendants lie two or more below p.
+    In reverse BFS order each vertex's subtree mask ``sub`` and the union
+    ``touch`` of its subtree's neighbor masks are complete when it is
+    reached. c's side of the bridge is ``sub[c]``, p's the rest of the component.
     """
-    return [
-        (u, v) for u, v in g.edges()
-        if not reach(without_edge(g.adj, u, v), u) >> v & 1
-    ]
+    adj, sides, seen = g.adj, {}, 0
+    sub, touch, parent = [1 << v for v in range(g.n)], list(adj), [0] * g.n
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        before, order = seen, [root]
+        seen |= 1 << root
+        for p in order:  # BFS: the loop also visits the vertices appended during it
+            for c in iter_bits(adj[p] & ~seen):
+                parent[c] = p
+                order.append(c)
+            seen |= adj[p]
+        component = seen & ~before
+        for c in reversed(order[1:]):
+            p = parent[c]
+            if touch[c] & ~sub[c] == 1 << p:
+                sides[min(p, c), max(p, c)] = sub[c] if c < p else component & ~sub[c]
+            sub[p] |= sub[c]
+            touch[p] |= touch[c]
+    return dict(sorted(sides.items()))
 
 
 def induced_subgraph(g: Graph, vertices: int) -> tuple[Graph, list[int]]:

@@ -148,8 +148,16 @@ def _term_blocks(b: BellOperator, amplitudes: np.ndarray):
 
 
 def _weights(b: BellOperator) -> np.ndarray:
-    """Each term's coefficient w = sign i^|x&z|, the phase that makes its X^x Z^z Hermitian."""
-    return b.signs * _PHASES[np.bitwise_count(b.x_masks & b.z_masks) & 3]
+    """Each term's coefficient w = sign i^|x&z|, the phase that makes its X^x Z^z Hermitian.
+
+    The weights are float64 +-1 when every |x&z| is even, as in every
+    ``bell_terms`` list (each term has an even number of Y letters), so
+    real states keep real products; complex otherwise.
+    """
+    y_count = np.bitwise_count(b.x_masks & b.z_masks)
+    if not np.any(y_count & 1):
+        return np.where(y_count & 2, -1.0, 1.0) * b.signs
+    return b.signs * _PHASES[y_count & 3]
 
 
 def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:

@@ -10,9 +10,10 @@ oracle module, the scalar Pauli product independently of the closed-form
 term-by-term <B> independently of the oracle's batched expectation, the
 4^n operator matrix and its projector residual independently of the
 oracle's blocks of term products, the edge-by-edge graph state
-independently of the oracle's doubling build, and the Schmidt rank from the
-GF(2) rank of a cut's adjacency block, so that tests have a second route to
-the same answer.
+independently of the oracle's doubling build, the Schmidt rank from the
+GF(2) rank of a cut's adjacency block, and each bridge's side by one search
+per edge independently of the package's one spanning-forest pass, so that
+tests have a second route to the same answer.
 
 ``reference_scan`` with Z unpinned is the 8^n search: it checks the
 engine's Z-pinning by brute force on small graphs, and it searches the
@@ -41,6 +42,7 @@ from graphbell import (
     is_connected,
     statevector,
 )
+from graphbell.graph import reach
 
 @dataclass(frozen=True)
 class PauliString:
@@ -359,6 +361,25 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
         if (i, j) not in edges and rng.random() < extra_edge_prob:
             edges.append((i, j))
     return from_edges(n, edges)
+
+
+def without_edge(adj, u: int, v: int) -> list[int]:
+    """Copy of a neighbor-mask sequence with the edge {u, v} removed."""
+    cut = list(adj)
+    cut[u] &= ~(1 << v)
+    cut[v] &= ~(1 << u)
+    return cut
+
+
+def reference_bridge_sides(g: Graph) -> dict[tuple[int, int], int]:
+    """Each bridge (u, v), u < v, in edge order, mapped to u's side, one search per edge:
+    {u, v} is a bridge iff u no longer reaches v without it, and u's side is what u reaches."""
+    sides = {}
+    for u, v in g.edges():
+        side = reach(without_edge(g.adj, u, v), u)
+        if not side >> v & 1:
+            sides[u, v] = side
+    return sides
 
 
 def compose_bridge(g1: Graph, g2: Graph, u: int, v: int) -> Graph:

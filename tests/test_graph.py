@@ -22,7 +22,7 @@ from graphbell import (
     parse_graph6,
     render_edge_list,
 )
-from helpers import connected_graphs, edge_index_pairs, graphs
+from helpers import connected_graphs, edge_index_pairs, graphs, reference_bridge_sides
 
 
 class TestGraphInvariants:
@@ -195,17 +195,64 @@ class TestLocalComplement:
         assert local_complement(once, v) == g
 
 
+def _bridge_test_graph(rng: random.Random, n: int, kind: str) -> Graph:
+    """A seeded graph of one shape: sparse (often disconnected, with isolated
+    vertices), tree, tree plus chords, forest, cycle, cycles joined by bridges,
+    or complete."""
+    if kind == "sparse":
+        density = rng.uniform(0.0, 3.0 / n)
+        return from_edges(n, [e for e in edge_index_pairs(n) if rng.random() < density])
+    if kind in ("tree", "chorded", "forest"):
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        if kind == "forest":
+            edges = [e for e in edges if rng.random() < 0.7]
+        if kind == "chorded":
+            edges += [e for e in edge_index_pairs(n) if rng.random() < 1.5 / n]
+        perm = rng.sample(range(n), n)
+        return from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+    if kind == "cycle":
+        return build_family(GraphFamily.RING_CLUSTER, n) if n >= 3 else from_edges(n, [])
+    if kind == "cycles":
+        edges, start = [], 0
+        while start < n:
+            k = min(rng.randint(1, 6), n - start)
+            block = range(start, start + k)
+            edges += [(v, v + 1) for v in block[:-1]] + ([(start, block[-1])] if k >= 3 else [])
+            if start:
+                edges.append((rng.randrange(start), rng.choice(block)))
+            start += k
+        return from_edges(n, edges)
+    return from_edges(n, edge_index_pairs(n))  # complete
+
+
 class TestBridges:
     def test_path_all_bridges(self):
         lc5 = build_family(GraphFamily.LINEAR_CLUSTER, 5)
-        assert bridges(lc5) == lc5.edges()
+        assert list(bridges(lc5)) == lc5.edges()
 
     def test_ring_has_none(self):
-        assert bridges(build_family(GraphFamily.RING_CLUSTER, 5)) == []
+        assert list(bridges(build_family(GraphFamily.RING_CLUSTER, 5))) == []
 
     def test_two_triangles_joined(self):
         g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-        assert bridges(g) == [(2, 3)]
+        assert list(bridges(g)) == [(2, 3)]
+        assert bridges(g)[2, 3] == 0b000111
+
+    def test_sides_are_cut_at_the_component(self):
+        # a path 0-1-2 beside a triangle 3-4-5 and an isolated vertex 6
+        g = from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+        assert bridges(g) == {(0, 1): 0b001, (1, 2): 0b011}
+        assert bridges(from_edges(1, [])) == {}
+
+    @pytest.mark.parametrize("kind", ["sparse", "tree", "chorded", "forest", "cycle", "cycles",
+                                      "complete"])
+    def test_one_pass_matches_the_per_edge_reference(self, kind):
+        rng = random.Random(2500)
+        draws = 31 if kind == "complete" else 186  # n = 1..31, 1,147 graphs over the kinds
+        for k in range(draws):
+            g = _bridge_test_graph(rng, 1 + k % 31, kind)
+            found, expected = bridges(g), reference_bridge_sides(g)
+            assert found == expected and list(found) == list(expected), render_edge_list(g)
 
     @given(graphs(min_n=2, max_n=7))
     @settings(max_examples=60)
@@ -224,8 +271,8 @@ class TestBridges:
 
 
     def test_networkx_agrees_on_random_graphs(self):
-        # independent route: bridges and components share one reachability
-        # routine, so the property test above cannot catch a fault in it
+        # independent route: components and the per-edge reference share one
+        # reachability routine, so the tests above cannot catch a fault in it
         nx = pytest.importorskip("networkx")
         rng = random.Random(4100)
         for _ in range(400):
@@ -235,7 +282,12 @@ class TestBridges:
             nx_graph = nx.Graph()
             nx_graph.add_nodes_from(range(n))
             nx_graph.add_edges_from(g.edges())
-            assert bridges(g) == sorted(tuple(sorted(e)) for e in nx.bridges(nx_graph))
+            sides = bridges(g)
+            assert list(sides) == sorted(tuple(sorted(e)) for e in nx.bridges(nx_graph))
+            for (u, v), side in sides.items():
+                nx_graph.remove_edge(u, v)
+                assert side == sum(1 << w for w in nx.node_connected_component(nx_graph, u))
+                nx_graph.add_edge(u, v)
             components = [sum(1 << v for v in c) for c in nx.connected_components(nx_graph)]
             assert connected_components(g) == sorted(components, key=lambda m: m & -m)
 

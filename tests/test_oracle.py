@@ -372,6 +372,20 @@ class TestProjectorIdentity:
         with pytest.raises(CapExceededError):
             projector_identity_residual(build_family(GraphFamily.LINEAR_CLUSTER, 13))
 
+    def test_graph_term_weights_are_real(self):
+        # every bell_terms term has an even Y count, so i^|x&z| is +-1 and a
+        # real state's term entries and their differences stay real
+        rng = random.Random(5252)
+        gs = [SINGLE] + [build_family(fam, 6) for fam in GraphFamily]
+        for g in gs + [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(20)]:
+            b = bell_terms(g)
+            weights = oracle._weights(b)
+            assert weights.dtype == np.float64
+            phases = oracle._PHASES[np.bitwise_count(b.x_masks & b.z_masks) & 3]
+            assert np.array_equal(weights, b.signs * phases)
+        odd_y = apply_permutation(bell_terms(gs[1]), 0, "1YXZ")
+        assert oracle._weights(odd_y).dtype == np.complex128
+
     def test_memory_stays_in_blocks_at_rc12(self):
         # the 4^n operator and projector alone would be 2 x 256 MiB
         g = build_family(GraphFamily.RING_CLUSTER, 12)

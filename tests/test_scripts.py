@@ -94,9 +94,53 @@ def test_bench_rows_times_each_named_function(monkeypatch):
         assert 0 < bench_rows.time_call(function, "rc", 4) < 0.05
 
 
+def test_bench_rows_compose_call_row_times_the_composer():
+    bench_rows = load_bench_rows()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert bench_rows.ROWS["call-compose-lc-30"] == ["call", "bridge_compose_bound", "lc", "30"]
+    seconds, _, code = bench_rows.run_once(bench_rows.ROWS["call-compose-lc-30"], env)
+    assert code == 0
+    assert 0 < seconds < 0.05  # the exact pieces are cached after the warm-up call
+
+
+def test_bench_rows_compiles_each_checkout_before_the_first_round(monkeypatch, tmp_path):
+    bench_rows = load_bench_rows()
+    events = []
+
+    def fake_compile(root):
+        events.append(("compile", root))
+        return True
+
+    def fake_run(argv, env, root):
+        events.append(("run", root))
+        return 1.0, 30.0, 0
+
+    monkeypatch.setattr(bench_rows, "compile_src", fake_compile)
+    monkeypatch.setattr(bench_rows, "run_once", fake_run)
+    monkeypatch.setattr(bench_rows, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_rows, "ROWS", {"one": ["graphbell", "one"]})
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--label", "t", "--parent", str(ROOT)])
+    assert bench_rows.main() == 0
+    assert events[:2] == [("compile", ROOT), ("compile", tmp_path)]
+    assert {kind for kind, _ in events[2:]} == {"run"}
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["compiled_src"] is True and report["parent"]["compiled_src"] is True
+
+
+def test_bench_rows_compile_writes_bytecode(tmp_path):
+    bench_rows = load_bench_rows()
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("VALUE = 1\n")
+    assert bench_rows.compile_src(tmp_path) is True
+    assert [p.name.split(".")[0] for p in (package / "__pycache__").iterdir()] == ["mod"]
+    (package / "bad.py").write_text("def (\n")
+    assert bench_rows.compile_src(tmp_path) is False
+
+
 def test_bench_rows_call_child_refuses_other_functions(monkeypatch, capsys):
     bench_rows = load_bench_rows()
-    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--call", "bridge_compose_bound", "rc", "4"])
+    monkeypatch.setattr(sys, "argv", ["bench_rows.py", "--call", "tree_certificate", "rc", "4"])
     with pytest.raises(SystemExit) as exit_info:
         bench_rows.main()
     assert exit_info.value.code == 2
@@ -136,8 +180,9 @@ def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
     assert bench_rows.main() == 0
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12",
-                                    "call-rc-14", "call-qbv-rc-12", "call-proj-rc-10"]
-    assert len(calls) == 8 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
+                                    "call-rc-14", "call-qbv-rc-12", "call-proj-rc-10",
+                                    "call-compose-lc-30", "call-compose-fc-20"]
+    assert len(calls) == 10 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
     for row in report["rows"].values():
         assert (row["call_s"], row["parent_call_s"]) == (2e-4, 3e-4)
         assert row["runs_call_s"] == [2e-4] * bench_rows.REPEATS
