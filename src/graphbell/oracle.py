@@ -201,6 +201,8 @@ def _projector_residual(b: BellOperator, amplitudes: np.ndarray) -> float:
     p from ``_term_blocks``, so the entries are compared a block of terms at a
     time. Halved blocks need no correction: the entry at j ^ x is the
     conjugate of the one at j, since w chi_z(x) = conj(w) (see ``_expectation``).
+    A graph's list has real weights, so on a real state the entries and
+    their differences are real arrays.
     """
     weights, scale, worst = _weights(b), float(1 << b.n), 0.0
     for t, p, lo, hi, _ in _term_blocks(b, amplitudes):
