@@ -84,7 +84,7 @@ class SubgraphStep:
     piece_vertices: int
     subgraph_vertices: int
     d_sub: Fraction
-    note: str = "no usable bridge; induced-subgraph relaxation"
+    note = "no usable bridge; induced-subgraph relaxation"  # a class constant, not a field
 
     @property
     def value(self) -> Fraction:
@@ -173,21 +173,20 @@ def _exact_d(g: Graph, piece: int) -> Fraction:
 _EXHAUSTIVE_PIECE_LIMIT = 50_000
 
 
-def _best_path_partition(length: int, max_piece: int) -> tuple[list[Fraction], list[int]]:
-    """DP over contiguous partitions of a chain into pieces of 1..max_piece.
+@lru_cache(maxsize=None)
+def _path_c(k: int) -> int:  # through the shape cache the composer's path pieces share
+    return int(_exact_d_of(from_edges(k, [(i, i + 1) for i in range(k - 1)])) * (1 << k))
 
-    Returns (best value per length, smallest first-piece size realizing it).
-    Each piece carries the exact D of the path on its vertex count, solved
-    by the exact search.
+
+@lru_cache(maxsize=None)
+def _chain(length: int, cap: int) -> tuple[int, int]:
+    """Least product of exact path C values over the cuts of a ``length``-vertex chain
+    into pieces of 1..cap vertices, and the smallest first piece that attains it.
+
+    Every such product has denominator 2^length, so the numerators compare as integers.
     """
-    piece_d = [Fraction(1)] + [_exact_d_of(from_edges(k, [(i, i + 1) for i in range(k - 1)]))
-                               for k in range(1, min(max_piece, length) + 1)]
-    best: list[Fraction] = [Fraction(1)] * (length + 1)
-    first: list[int] = [0] * (length + 1)
-    for m in range(1, length + 1):
-        best[m], first[m] = min((piece_d[k] * best[m - k], k)
-                                for k in range(1, min(max_piece, m) + 1))
-    return best, first
+    return min(((_path_c(k) * _chain(length - k, cap)[0], k)
+                for k in range(1, min(cap, length) + 1)), default=(1, 0))  # the empty chain
 
 
 class _Composer:
@@ -228,17 +227,17 @@ class _Composer:
         if cap >= 3 and len(piece_bridges) == size - 1 and all(
             (g.adj[v] & piece).bit_count() <= 2 for v in iter_bits(piece)
         ):
-            # a path: the chain DP knows its optimal contiguous partition, so
-            # cut first[size] vertices off its lowest-labelled end
+            # a path: the chain table knows its optimal contiguous partition,
+            # so cut its first piece off the lowest-labelled end
             end = next(v for v in iter_bits(piece) if (g.adj[v] & piece).bit_count() == 1)
-            _, first = _best_path_partition(size, cap)
+            first = _chain(size, cap)[1]
 
             def end_side(edge: tuple[int, int]) -> int:
                 side = self.sides[edge] & piece
                 return side if side >> end & 1 else piece & ~side
 
             return self._split(piece, next(
-                e for e in piece_bridges if end_side(e).bit_count() == first[size]))
+                e for e in piece_bridges if end_side(e).bit_count() == first))
 
         def balance(edge: tuple[int, int]) -> int:
             return abs(2 * (self.sides[edge] & piece).bit_count() - size)
@@ -258,9 +257,9 @@ def bridge_compose_bound(
 
     Each connected component is composed on its own, and the components are
     joined by exact products (BridgeStep with no bridge). Bridge selection is
-    greedy: path-shaped pieces split where the chain dynamic program says the
-    optimal contiguous partition starts, everything else splits at the most
-    balanced bridge (deterministic tie break).
+    greedy: a path-shaped piece cuts off the first piece of the chain table's
+    best cut into pieces of 1..exact_cap vertices, everything else splits at
+    the most balanced bridge (deterministic tie break).
     ``exhaustive`` instead minimizes over every bridge choice with piece
     memoization, which is only sensible up to around 20 vertices. Pieces
     within the cap get exact values; bridgeless oversized pieces fall back to
@@ -277,14 +276,14 @@ def bridge_compose_bound(
 def chain_bound(length: int) -> Fraction:
     """Best product bound for a linear chain, minimized over bridge partitions.
 
-    Contiguous pieces of up to EXACT_SEARCH_CAP vertices carry their exact
-    chain values from the exact search, so a chain of at most that many
-    vertices gets its exact value.
+    Reads the chain table at EXACT_SEARCH_CAP: pieces of 1..cap vertices carry
+    their exact path values, so a chain within the cap gets its exact value.
     """
     if length < 2:
         raise ValueError(f"chain bound needs length >= 2, got {length}")
-    best, _ = _best_path_partition(length, EXACT_SEARCH_CAP)
-    return best[length]
+    for m in range(length):  # bottom-up, so no call recurses deeply
+        _chain(m, EXACT_SEARCH_CAP)
+    return Fraction(_chain(length, EXACT_SEARCH_CAP)[0], 1 << length)
 
 
 @dataclass(frozen=True)

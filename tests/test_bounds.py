@@ -22,13 +22,22 @@ from graphbell import (
     subgraph_bound,
     tree_certificate,
 )
-from graphbell.bounds import BridgeStep, ExactStep, SubgraphStep, replay
+from graphbell.bounds import (
+    BridgeStep,
+    ExactStep,
+    SubgraphStep,
+    _chain,
+    _exact_d_of,
+    _path_c,
+    replay,
+)
 from graphbell.graph import iter_bits
 from graphbell.table import FAMILY_D
 from helpers import (
     best_path_composition,
     compose_bridge,
     connected_graph_classes,
+    path_c,
     random_connected_graph,
     reference_bridge_sides,
 )
@@ -298,6 +307,35 @@ class TestChainBound:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             chain_bound(1)
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("cap", range(1, 15))
+    def test_matches_the_enumerated_compositions(self, cap):
+        # the value, and as first piece the smallest one that attains it
+        for length in range(1, 41):
+            c, first = _chain(length, cap)
+            best = best_path_composition(length, cap)
+            assert Fraction(c, 1 << length) == best
+            if length <= 24:
+                cuts = [Fraction(path_c(k), 1 << k) * best_path_composition(length - k, cap)
+                        for k in range(1, first + 1)]
+                assert cuts[-1] == best and min(cuts[:-1], default=2) > best
+
+    def test_two_chains_fill_each_key_and_solve_each_path_once(self):
+        for cache in (_chain, _path_c, _exact_d_of):
+            cache.cache_clear()
+        for n in (31, 30):
+            bridge_compose_bound(build_family(LC, n), exact_cap=8)
+        # lengths 0..31 at cap 8; the paths of 1..8 vertices, whose solves the
+        # composer's exact pieces reuse through the shared shape cache
+        assert _chain.cache_info().misses == _chain.cache_info().currsize == 32
+        assert _path_c.cache_info().misses == 8
+        assert _exact_d_of.cache_info().misses == 8
+
+    def test_long_chain_does_not_recurse_deeply(self):
+        _chain.cache_clear()
+        assert chain_bound(5000) <= chain_bound(4999)
 
 
 class TestTreeCertificate:
