@@ -290,11 +290,19 @@ def path_c(k: int) -> int:
 
 
 def best_path_composition(length: int, cap: int) -> Fraction:
-    """Minimum over compositions of ``length`` into parts <= cap of the product of path D values.
+    """Minimum over compositions of ``length`` into parts <= cap of the product of path D values."""
+    return best_path_compositions(length, cap)[-1]
+
+
+def best_path_compositions(length: int, max_cap: int) -> list[Fraction]:
+    """``best_path_composition(length, cap)`` for every cap in 1..max_cap, from one enumeration.
 
     The product does not depend on the order of the parts, so each multiset
-    of parts is enumerated once, as a nonincreasing sequence. Every product
-    has denominator 2^length, so the numerators C are compared as integers.
+    of parts is enumerated once, as a nonincreasing sequence. Its largest
+    part is the least cap that admits it, so the least product is found once
+    per largest part, and each cap takes the least over the parts up to it.
+    Every product has denominator 2^length, so the numerators C are compared
+    as integers.
     """
     def products(rest: int, largest: int):
         if rest == 0:
@@ -303,7 +311,14 @@ def best_path_composition(length: int, cap: int) -> Fraction:
             for tail in products(rest - part, part):
                 yield path_c(part) * tail
 
-    return Fraction(min(products(length, cap)), 1 << length)
+    best = 1 if length == 0 else None  # only the empty multiset sums to 0
+    values = []
+    for cap in range(1, max_cap + 1):
+        if cap <= length:
+            least = min(path_c(cap) * tail for tail in products(length - cap, cap))
+            best = least if best is None else min(best, least)
+        values.append(Fraction(best, 1 << length))
+    return values
 
 
 def edge_index_pairs(n: int) -> list[tuple[int, int]]:
