@@ -76,6 +76,8 @@ ROWS = {
     "compose-rc-31": ["graphbell", "compose", "--family", "rc", "--n", "31"],
     "tier1": ["pytest", "-q", "--continue-on-collection-errors"],
     **{f"call-rc-{n}": ["call", "classical_bound", "rc", str(n)] for n in (4, 6, 8, 9, 12, 14)},
+    "call-fc-14": ["call", "classical_bound", "fc", "14"],  # rotations: one row per orbit
+    "call-lc-14": ["call", "classical_bound", "lc", "14"],  # no rotation: every row
     "call-qbv-rc-12": ["call", "quantum_bell_value", "rc", "12"],
     "call-proj-rc-10": ["call", "projector_identity_residual", "rc", "10"],
     "call-compose-lc-30": ["call", "bridge_compose_bound", "lc", "30"],

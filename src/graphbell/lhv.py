@@ -40,12 +40,33 @@ n // 2, now outer. No butterfly run is shorter than rows * 2^(n // 2), and a
 maximum's position is read back through a table, per swapped key, of the
 packed (neg_x, neg_y) it stands for at e = 0.
 
-Batch `base`, the rows base <= e < base + 2^row_bits, is
+The rows of the block `base`, base <= e < base + 2^row_bits, are
 chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = signs[key] *
 (-1)^<y(key), base> and H the Sylvester table H[a, e] = (-1)^<a, e>, built
-once per row count and read-only. It is written in place: the rows of H
-are gathered into the batch, which is then multiplied by chi, one sign per
-key. A search of one batch multiplies the gathered rows by the signs.
+once per row count and read-only. A batch is written in place: the rows of
+its table, H or the columns of H its rows e select, are gathered into it,
+and the columns of each block it spans are multiplied by that block's chi,
+one sign per key. A search of one batch multiplies the gathered rows by the
+signs.
+
+Rotating every qubit label by t maps a term list onto itself when term
+rot(j) has Z mask rot(z_j) and the sign of term j. Then row rot(e) is row
+e with its keys rotated, so its value at rot(neg_x) is row e's at neg_x,
+and the two rows have the same maximum. A search of more than one batch
+(n >= 10 with these constants) finds those rotations, a subgroup of Z_n,
+with one comparison over the terms per divisor of n. It checks the term
+list, not the graph, so it is sound for any list that passes the checks,
+and a list that no rotation maps has the trivial group. The search then
+transforms only the rows e < 2^(n-1) that are least in their orbit under
+the rotations and the twin e -> e ^ 1...1 (180 of rc 12's 2,048), in
+batches of consecutive orbit rows. With the trivial group every row is an
+orbit row, and each batch is one whole block with H as its table: the
+search over every row, numpy call for numpy call. Every maximal
+(neg_x, e) of the whole space is an image of one in an orbit row, and the
+maxima are closed under the rotations and the twins. So a batch's
+tie-break takes the least packed (neg_x, neg_y) over the rotated images of
+its maxima, each with its twin, and the argmax is that of the search over
+every row.
 
 Phase B only adds and subtracts the cells of one column (k_hi, e) of phase
 A's result, over key_lo, so the sum of their magnitudes bounds every value
@@ -279,6 +300,78 @@ def _plan(n: int, row_bits: int) -> _Plan:
     return plan
 
 
+def _rotate(v, t, n: int):
+    """``v`` with its n-bit labels rotated by ``t``: bit i moves to bit (i + t) mod n."""
+    return (v << t | v >> (n - t)) & ((1 << n) - 1)
+
+
+def _label_rotations(n: int, z: np.ndarray, signs: np.ndarray) -> tuple[int, ...]:
+    """The shifts 0 < t < n of the label rotations that map a graph's term list onto itself.
+
+    Term j (X mask j) must go to term rot(j) with Z mask rot(z_j) and the
+    same sign. Such shifts form a subgroup of Z_n, generated by its least
+    element, a divisor of n; so the first divisor that maps the list gives
+    them all, and none gives the trivial group, which is always sound.
+    """
+    j = np.arange(1 << n, dtype=np.uint32)
+    for k in range(1, n):
+        if n % k == 0:
+            image = _rotate(j, k, n)
+            if np.array_equal(z[image], _rotate(z, k, n)) and np.array_equal(signs[image], signs):
+                return tuple(range(k, n, k))
+    return ()
+
+
+def _orbit_rows(n: int, shifts: tuple[int, ...]) -> np.ndarray:
+    """The rows e < 2^(n-1) least in their orbits under the rotations ``shifts`` and the twins."""
+    e = np.arange(1 << (n - 1), dtype=np.int32)
+    least = e.copy()
+    for t in shifts:
+        image = _rotate(e, t, n)
+        np.minimum(least, image, out=least)
+        np.minimum(least, image ^ ((1 << n) - 1), out=least)
+    return e[least == e]
+
+
+def _row_batches(row_bits: int, every_e: np.ndarray, reps: np.ndarray | None):
+    """Each batch's table H[:, e mod rows], its blocks (base, first and end column) and rows e.
+
+    With no orbit rows ``reps``, batch `base` is the one block of rows
+    base <= e < base + rows of ``every_e``, and its table is H. Otherwise the
+    batches hold ``reps`` in order, the last padded with copies of its last
+    row, which change neither the maximum nor the tie-break; a block is a
+    run of them with one e >> row_bits.
+    """
+    rows = 1 << row_bits
+    table = _hadamard(row_bits)
+    if reps is None:
+        for base in range(0, len(every_e), rows):
+            yield table, ((base, 0, rows),), every_e[base : base + rows]
+        return
+    reps = np.pad(reps, (0, -len(reps) % rows), mode="edge")
+    for start in range(0, len(reps), rows):
+        es = reps[start : start + rows]
+        bases = es & ~(rows - 1)
+        ends = [*(np.flatnonzero(np.diff(bases)) + 1).tolist(), rows]
+        blocks = tuple((int(bases[j0]), j0, j1) for j0, j1 in zip([0, *ends], ends))
+        yield table.take(es & (rows - 1), axis=1), blocks, es
+
+
+def _least_image(lex: np.ndarray, n: int, shifts: tuple[int, ...]) -> int:
+    """The least packed (neg_x, neg_y) among ``lex`` and its images under the rotations ``shifts``.
+
+    Each image of (neg_x, neg_y) rotates both masks by the same shift and,
+    as ``lex`` does, takes the smaller of neg_y and its twin neg_y ^ 1...1.
+    """
+    full = (1 << n) - 1
+    t = np.array(shifts, dtype=np.int32)[:, None]
+    neg_x, neg_y = _rotate(lex >> n, t, n), _rotate(lex & full, t, n)
+    np.minimum(neg_y, neg_y ^ full, out=neg_y)
+    neg_x <<= n
+    neg_x |= neg_y
+    return min(int(lex.min()), int(neg_x.min()))
+
+
 def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
     """Exact max of |<B>| over the Z-pinned LHV models of a graph's term list.
 
@@ -293,8 +386,11 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
 
     The search is the change of basis of the module docstring, in batches of
     about _BATCH_BYTES with a running maximum, so memory is a few
-    batch-sized buffers. More qubits than ``search_limit`` are refused
-    before anything is allocated.
+    batch-sized buffers. A search of more than one batch first finds the
+    label rotations that map the list onto itself and transforms one row
+    per orbit of them and of the twins; the report is that of the search
+    over every row. More qubits than ``search_limit`` are refused before
+    anything is allocated.
     """
     n = b.n
     space = search_space(n)
@@ -313,24 +409,28 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
     fit = (_BATCH_BYTES // 2).bit_length() - 1 - n
     row_bits = min(n - 1, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
+    many = rows < size >> 1
+    # the rotations and orbit rows before the plan, so that their temporaries are gone when it is
+    # allocated
+    shifts = _label_rotations(n, z, b.signs) if many else ()
+    reps = _orbit_rows(n, shifts) if shifts else None
     plan = _plan(n, row_bits)
     batch, out = plan.batch, plan.out
-    batches = range(0, 1 << (n - 1), rows)
-    table = _hadamard(row_bits)
-    if len(batches) == 1:  # signs[key] * H[y(key), e]
-        np.multiply(table.take(y & (rows - 1), axis=0), signs[:, None], out=batch)
-    else:  # batch `base` is chi[key] * H[y(key) mod rows, e], chi = signs * (-1)^<y(key), base>
+    if many:  # row e of block `base` is chi[key] * H[y(key) mod rows, e mod rows], chi below
         y_lo = (y & (rows - 1)).astype(np.intp)
         chi = np.empty(size, dtype=np.int16)  # refilled in place, one allocation a search
+    else:  # signs[key] * H[y(key), e]
+        np.multiply(_hadamard(row_bits).take(y & (rows - 1), axis=0), signs[:, None], out=batch)
     lo = n // 2
     hi = n - lo
     best, best_key = -1, 0
-    for base in batches:
-        if len(batches) > 1:
-            _SIGNS.take(np.bitwise_count(y & base) & 1, out=chi)
-            chi *= signs
+    for table, blocks, es in _row_batches(row_bits, plan.lex_e, reps):
+        if many:
             table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
-            batch *= chi[:, None]
+            for base, j0, j1 in blocks:  # chi = signs * (-1)^<y(key), base>
+                _SIGNS.take(np.bitwise_count(y & base) & 1, out=chi)
+                chi *= signs
+                batch[:, j0:j1] *= chi[:, None]
         for s0, s1, d0, d1 in plan.phase_a:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
@@ -369,10 +469,10 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
                 continue
             np.equal(out, m, out=plan.ties)
             cols, r = np.divmod(plan.ties.nonzero()[0], rows)
-        # the smallest packed (neg_x, neg_y) among this batch's maxima
+        # the smallest packed (neg_x, neg_y) among this batch's maxima and their images
         lex = plan.lex.take(cols)
-        lex ^= plan.lex_e[base : base + rows].take(r)
-        key = int(lex.min())
+        lex ^= es.take(r)
+        key = _least_image(lex, n, shifts) if shifts else int(lex.min())
         if m > best or key < best_key:
             best, best_key = m, key
     return best, Assignment(best_key >> n, best_key & (size - 1)), space

@@ -378,6 +378,11 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
     return from_edges(n, edges)
 
 
+def circulant(n: int, steps) -> Graph:
+    """The circulant graph on Z_n: i ~ i + s (mod n) for every step s."""
+    return from_edges(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
 def without_edge(adj, u: int, v: int) -> list[int]:
     """Copy of a neighbor-mask sequence with the edge {u, v} removed."""
     cut = list(adj)

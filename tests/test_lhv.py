@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     PauliString,
     all_labeled_graphs,
     apply_permutation,
+    circulant,
     connected_graphs,
     graph_from_edge_mask,
     graphs,
@@ -453,6 +455,104 @@ class TestPrunedBatches:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20  # two 512 KiB batch buffers, no table of base rows
+
+
+def seeded_circulants(rng: random.Random, n: int, count: int) -> list:
+    """``count`` circulants on Z_n, each with a random set of steps 1..n // 2."""
+    steps = range(1, n // 2 + 1)
+    return [circulant(n, rng.sample(steps, rng.randint(1, len(steps)))) for _ in range(count)]
+
+
+def rotation_invariant_graph(rng: random.Random, n: int, k: int):
+    """A random graph on n vertices that rotation by k maps onto itself: whole edge orbits."""
+    edges = {tuple(sorted(((i + t) % n, (j + t) % n))) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3 for t in range(0, n, k)}
+    return from_edges(n, sorted(edges))
+
+
+@lru_cache(maxsize=None)
+def pinned_scan(g) -> tuple[int, int]:
+    """The pinned reference scan of a graph's term list, once per graph."""
+    return reference_scan(bell_terms(g), pin_z=True)
+
+
+def rotation_shifts(b: BellOperator) -> tuple[int, ...]:
+    return lhv._label_rotations(b.n, b.z_masks, b.signs)
+
+
+class TestOrbitRows:
+    """A search of many batches transforms one row per orbit of the label rotations and twins.
+
+    Rotating every label by a shift that maps the term list onto itself
+    carries row e to a row with the same values, so the reports are those
+    of the search over every row.
+    """
+
+    def test_rotation_group_of_symmetric_and_asymmetric_lists(self):
+        rng = random.Random(27)
+        rotating = [build_family(fam, n) for fam in (GraphFamily.RING_CLUSTER,
+                                                    GraphFamily.FULLY_CONNECTED)
+                    for n in range(3, 13)]
+        rotating += [g for n in range(5, 13) for g in seeded_circulants(rng, n, 2)]
+        fixed = [build_family(fam, n) for fam in (GraphFamily.LINEAR_CLUSTER, GraphFamily.STAR)
+                 for n in range(3, 13)]
+        fixed.append(relabelled(build_family(GraphFamily.RING_CLUSTER, 12), random.Random(3)))
+        for g, order in [(g, g.n) for g in rotating] + [(g, 1) for g in fixed]:
+            b = bell_terms(g)
+            shifts = rotation_shifts(b)
+            assert len(shifts) + 1 == order
+            terms = {t.x_mask: t for t in terms_of(b)}
+            for t in shifts:  # every term goes to the rotated term: the same Z mask and sign
+                for term in terms.values():
+                    image = terms[lhv._rotate(term.x_mask, t, g.n)]
+                    assert (image.z_mask, image.sign) == (lhv._rotate(term.z_mask, t, g.n), term.sign)
+
+    @pytest.mark.parametrize("batch_bytes, min_rows", [(1, 1), (1, 2), (1 << 8, 4)])
+    def test_rotating_graphs_in_many_batches_match_the_reference_scan(self, monkeypatch,
+                                                                      batch_bytes, min_rows):
+        monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", min_rows)
+        for n in range(3, 10):
+            gs = [build_family(GraphFamily.RING_CLUSTER, n), build_family(GraphFamily.FULLY_CONNECTED, n)]
+            gs += seeded_circulants(random.Random(n), n, 2 if n < 9 else 0)
+            for g in gs:
+                b = bell_terms(g)
+                assert len(rotation_shifts(b)) == n - 1
+                c, argmax, _ = operator_bound(b)
+                assert (c, counter_index(argmax, n)) == pinned_scan(g)
+
+    def test_least_maximum_outside_the_orbit_rows(self, monkeypatch):
+        # graphs invariant under rotation by k < n, whose least maximum often lies in a row that is
+        # not least in its orbit, so that only its rotated image is transformed
+        small_batches(monkeypatch)
+        rng = random.Random(5)
+        for n in range(4, 9):
+            for k in (k for k in range(1, n) if n % k == 0):
+                for _ in range(6):
+                    g = rotation_invariant_graph(rng, n, k)
+                    b = bell_terms(g)
+                    assert n // k <= len(rotation_shifts(b)) + 1
+                    c, argmax, _ = operator_bound(b)
+                    assert (c, counter_index(argmax, n)) == pinned_scan(g)
+
+    def test_trivial_group_reports_match_the_orbit_rows(self, monkeypatch):
+        rng = random.Random(10)
+        gs = [build_family(fam, n) for fam in GraphFamily for n in range(10, 14)]
+        gs += [g for n in range(10, 14) for g in seeded_circulants(rng, n, 2)]
+        reduced = [classical_bound(g) for g in gs]
+        monkeypatch.setattr("graphbell.lhv._label_rotations", lambda n, z, signs: ())
+        assert [classical_bound(g) for g in gs] == reduced
+
+    @pytest.mark.parametrize("fam, c, neg_x", [(GraphFamily.RING_CLUSTER, 2944, 0),
+                                               (GraphFamily.FULLY_CONNECTED, 8320, 3)])
+    def test_fourteen_vertices_match_the_search_over_every_row(self, fam, c, neg_x):
+        # the reports of the search over all 8,192 rows
+        report = classical_bound(build_family(fam, 14))
+        assert rotation_shifts(bell_terms(build_family(fam, 14))) == tuple(range(1, 14))
+        assert report.to_json_dict() == {
+            "n": 14, "c": c, "d_num": Fraction(c, 1 << 14).numerator,
+            "d_den": Fraction(c, 1 << 14).denominator, "argmax_negx": neg_x, "argmax_negy": 0,
+            "argmax_negz": 0, "search_space": 4**14, "method": "exhaustive"}
 
 
 class TestPlanReuse:

@@ -180,9 +180,9 @@ def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
     assert bench_rows.main() == 0
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(report["rows"]) == ["call-rc-4", "call-rc-6", "call-rc-8", "call-rc-9", "call-rc-12",
-                                    "call-rc-14", "call-qbv-rc-12", "call-proj-rc-10",
-                                    "call-compose-lc-30", "call-compose-fc-20"]
-    assert len(calls) == 10 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
+                                    "call-rc-14", "call-fc-14", "call-lc-14", "call-qbv-rc-12",
+                                    "call-proj-rc-10", "call-compose-lc-30", "call-compose-fc-20"]
+    assert len(calls) == 12 * 2 * bench_rows.REPEATS and {kind for kind, _ in calls} == {"call"}
     for row in report["rows"].values():
         assert (row["call_s"], row["parent_call_s"]) == (2e-4, 3e-4)
         assert row["runs_call_s"] == [2e-4] * bench_rows.REPEATS
