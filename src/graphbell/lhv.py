@@ -54,14 +54,15 @@ rot(j) has Z mask rot(z_j) and the sign of term j. Then row rot(e) is row
 e with its keys rotated, so its value at rot(neg_x) is row e's at neg_x,
 and the two rows have the same maximum. A search of more than one batch
 (n >= 10 with these constants) finds those rotations, a subgroup of Z_n,
-with one comparison over the terms per divisor of n. It checks the term
-list, not the graph, so it is sound for any list that passes the checks,
-and a list that no rotation maps has the trivial group. The search then
-transforms only the rows e < 2^(n-1) that are least in their orbit under
-the rotations and the twin e -> e ^ 1...1 (180 of rc 12's 2,048), in
-batches of consecutive orbit rows. With the trivial group every row is an
-orbit row, and each batch is one whole block with H as its table: the
-search over every row, numpy call for numpy call. Every maximal
+with one comparison over the terms per divisor of n that maps the n
+one-vertex terms. It checks the term list, not the graph, so it is sound
+for any list that passes the checks, and a list that no rotation maps has
+the trivial group. The search then transforms only the rows e < 2^(n-1)
+that are least in their orbit under the rotations and the twin
+e -> e ^ 1...1 (180 of rc 12's 2,048), in batches of consecutive orbit
+rows. With the trivial group every row is an orbit row, and each batch is
+one whole block, which takes H itself as its table: the numpy calls of
+the search over every row, batch for batch. Every maximal
 (neg_x, e) of the whole space is an image of one in an orbit row, and the
 maxima are closed under the rotations and the twins. So a batch's
 tie-break takes the least packed (neg_x, neg_y) over the rotated images of
@@ -311,19 +312,24 @@ def _label_rotations(n: int, z: np.ndarray, signs: np.ndarray) -> tuple[int, ...
     Term j (X mask j) must go to term rot(j) with Z mask rot(z_j) and the
     same sign. Such shifts form a subgroup of Z_n, generated by its least
     element, a divisor of n; so the first divisor that maps the list gives
-    them all, and none gives the trivial group, which is always sound.
+    them all, and none gives the trivial group, which is always sound. The
+    Z masks of the n one-vertex terms (X mask 1 << v) are compared first, in
+    Python, so a divisor that does not map them costs no pass over the terms.
     """
-    j = np.arange(1 << n, dtype=np.uint32)
+    one = z[1 << np.arange(n)].tolist()
     for k in range(1, n):
-        if n % k == 0:
-            image = _rotate(j, k, n)
+        if n % k == 0 and all(one[(v + k) % n] == _rotate(zv, k, n) for v, zv in enumerate(one)):
+            image = _rotate(np.arange(1 << n, dtype=np.uint32), k, n)
             if np.array_equal(z[image], _rotate(z, k, n)) and np.array_equal(signs[image], signs):
                 return tuple(range(k, n, k))
     return ()
 
 
 def _orbit_rows(n: int, shifts: tuple[int, ...]) -> np.ndarray:
-    """The rows e < 2^(n-1) least in their orbits under the rotations ``shifts`` and the twins."""
+    """The rows e < 2^(n-1) least in their orbits under the rotations ``shifts`` and the twins.
+
+    With no shifts that is every row e < 2^(n-1).
+    """
     e = np.arange(1 << (n - 1), dtype=np.int32)
     least = e.copy()
     for t in shifts:
@@ -333,24 +339,26 @@ def _orbit_rows(n: int, shifts: tuple[int, ...]) -> np.ndarray:
     return e[least == e]
 
 
-def _row_batches(row_bits: int, every_e: np.ndarray, reps: np.ndarray | None):
+def _row_batches(row_bits: int, reps: np.ndarray):
     """Each batch's table H[:, e mod rows], its blocks (base, first and end column) and rows e.
 
-    With no orbit rows ``reps``, batch `base` is the one block of rows
-    base <= e < base + rows of ``every_e``, and its table is H. Otherwise the
-    batches hold ``reps`` in order, the last padded with copies of its last
-    row, which change neither the maximum nor the tie-break; a block is a
-    run of them with one e >> row_bits.
+    The batches hold the orbit rows ``reps`` in order, the last padded with
+    copies of its last row, which change neither the maximum nor the
+    tie-break; a block is a run of them with one e >> row_bits. A batch of
+    one whole block, base <= e < base + rows, has H itself as its table:
+    every batch of the trivial group is one, and a gather of H's columns
+    made lc 10 and st 10 about 19% slower and lc 12 4%.
     """
     rows = 1 << row_bits
     table = _hadamard(row_bits)
-    if reps is None:
-        for base in range(0, len(every_e), rows):
-            yield table, ((base, 0, rows),), every_e[base : base + rows]
-        return
-    reps = np.pad(reps, (0, -len(reps) % rows), mode="edge")
+    count = len(reps)
+    reps = reps.take(np.arange(-count % rows + count), mode="clip")
     for start in range(0, len(reps), rows):
         es = reps[start : start + rows]
+        first = int(es[0])
+        if first % rows == 0 and int(es[-1]) == first + rows - 1 and start + rows <= count:
+            yield table, ((first, 0, rows),), es  # rows first..first + rows - 1, none a copy
+            continue
         bases = es & ~(rows - 1)
         ends = [*(np.flatnonzero(np.diff(bases)) + 1).tolist(), rows]
         blocks = tuple((int(bases[j0]), j0, j1) for j0, j1 in zip([0, *ends], ends))
@@ -413,7 +421,7 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
     # the rotations and orbit rows before the plan, so that their temporaries are gone when it is
     # allocated
     shifts = _label_rotations(n, z, b.signs) if many else ()
-    reps = _orbit_rows(n, shifts) if shifts else None
+    reps = _orbit_rows(n, shifts) if many else None
     plan = _plan(n, row_bits)
     batch, out = plan.batch, plan.out
     if many:  # row e of block `base` is chi[key] * H[y(key) mod rows, e mod rows], chi below
@@ -424,7 +432,9 @@ def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
     lo = n // 2
     hi = n - lo
     best, best_key = -1, 0
-    for table, blocks, es in _row_batches(row_bits, plan.lex_e, reps):
+    # one batch of every e, filled above, or batches of orbit rows
+    batches = _row_batches(row_bits, reps) if many else [(None, (), plan.lex_e)]
+    for table, blocks, es in batches:
         if many:
             table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
             for base, j0, j1 in blocks:  # chi = signs * (-1)^<y(key), base>

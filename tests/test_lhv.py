@@ -543,12 +543,28 @@ class TestOrbitRows:
         monkeypatch.setattr("graphbell.lhv._label_rotations", lambda n, z, signs: ())
         assert [classical_bound(g) for g in gs] == reduced
 
-    @pytest.mark.parametrize("fam, c, neg_x", [(GraphFamily.RING_CLUSTER, 2944, 0),
-                                               (GraphFamily.FULLY_CONNECTED, 8320, 3)])
-    def test_fourteen_vertices_match_the_search_over_every_row(self, fam, c, neg_x):
-        # the reports of the search over all 8,192 rows
+    def test_only_batches_that_are_not_one_whole_block_gather_their_table(self):
+        row_bits, rows = 3, 8
+        h = lhv._hadamard(row_bits)
+        for table, blocks, es in lhv._row_batches(row_bits, np.arange(32, dtype=np.int32)):
+            assert table is h and blocks == ((int(es[0]), 0, rows),)
+        reps = lhv._orbit_rows(7, tuple(range(1, 7)))  # 10 orbit rows of 64: one padded batch
+        batches = list(lhv._row_batches(row_bits, reps))
+        assert np.array_equal(np.concatenate([es for _, _, es in batches])[: len(reps)], reps)
+        for table, blocks, es in batches:
+            assert table is not h and np.array_equal(table, h[:, es % rows])
+            starts, ends = [j0 for _, j0, _ in blocks], [j1 for *_, j1 in blocks]
+            assert starts == [0, *ends[:-1]] and ends[-1] == rows
+            for base, j0, j1 in blocks:
+                assert base % rows == 0 and (es[j0:j1] & ~(rows - 1) == base).all()
+
+    @pytest.mark.parametrize("fam, c, neg_x, order",[(GraphFamily.RING_CLUSTER, 2944, 0, 14),
+                                                      (GraphFamily.FULLY_CONNECTED, 8320, 3, 14),
+                                                      (GraphFamily.LINEAR_CLUSTER, 3456, 0, 1)])
+    def test_fourteen_vertices_match_the_search_over_every_row(self, fam, c, neg_x, order):
+        # the reports of the search over all 8,192 rows; lc 14 has the trivial group and runs them
         report = classical_bound(build_family(fam, 14))
-        assert rotation_shifts(bell_terms(build_family(fam, 14))) == tuple(range(1, 14))
+        assert rotation_shifts(bell_terms(build_family(fam, 14))) == tuple(range(1, 14))[: order - 1]
         assert report.to_json_dict() == {
             "n": 14, "c": c, "d_num": Fraction(c, 1 << 14).numerator,
             "d_den": Fraction(c, 1 << 14).denominator, "argmax_negx": neg_x, "argmax_negy": 0,
