@@ -19,15 +19,15 @@ term S (x = S, z = ΓS) the count is |S & N(v)| + [v in ΓS], and v is in
 
 With Z pinned a term takes the value sign * (-1)^(<x, neg_x> + <y, e>) with
 e = neg_x ^ neg_y, since <y, neg_x> appears twice in that exponent. The
-search takes a graph's term list, which ``operator_bound`` checks: 2^n
-terms (n >= 1), term j with x = j, each with an even number of Y letters
-(for term S they are S & ΓS, the odd-degree vertices of G[S]). So for each
-e the Bell values over neg_x are one integer Walsh-Hadamard transform of
-the row signs[key] * (-1)^<y(key), e>, key = x, and row e equals row
-e ^ 1...1: only the rows with e < 2^(n-1) are transformed, and the twin of
-(neg_x, neg_y) is (neg_x, neg_y ^ 1...1). The rows are transformed batch
-by batch with a running maximum, which covers every assignment exactly in
-a few batches of memory.
+search takes a graph and builds its term list: 2^n terms (n >= 1), term j
+with x = j, each with an even number of Y letters (for term S they are
+S & ΓS, the odd-degree vertices of G[S]). So for each e the Bell values
+over neg_x are one integer Walsh-Hadamard transform of the row signs[key]
+* (-1)^<y(key), e>, key = x, and row e equals row e ^ 1...1: only the rows
+with e < 2^(n-1) are transformed, and the twin of (neg_x, neg_y) is
+(neg_x, neg_y ^ 1...1). The rows are transformed batch by batch with a
+running maximum, which covers every assignment exactly in a few batches of
+memory.
 
 A batch holds the rows of consecutive e laid out [key, e], e fastest, and
 the butterfly level of key bit k pairs runs of rows * 2^k cells. numpy's
@@ -46,28 +46,29 @@ chi[key] * H[y(key) mod 2^row_bits, e - base] with chi = signs[key] *
 once per row count and read-only. A batch is written in place: the rows of
 its table, H or the columns of H its rows e select, are gathered into it,
 and the columns of each block it spans are multiplied by that block's chi,
-one sign per key. A search of one batch multiplies the gathered rows by the
-signs.
+one sign per key. The chi of block 0 is the signs themselves; a search of
+one batch is that one block.
 
-Rotating every qubit label by t maps a term list onto itself when term
-rot(j) has Z mask rot(z_j) and the sign of term j. Then row rot(e) is row
-e with its keys rotated, so its value at rot(neg_x) is row e's at neg_x,
-and the two rows have the same maximum. A search of more than one batch
-(n >= 10 with these constants) finds those rotations, a subgroup of Z_n,
-with one comparison over the terms per divisor of n that maps the n
-one-vertex terms. It checks the term list, not the graph, so it is sound
-for any list that passes the checks, and a list that no rotation maps has
-the trivial group. The search then transforms only the rows e < 2^(n-1)
-that are least in their orbit under the rotations and the twin
-e -> e ^ 1...1 (180 of rc 12's 2,048), in batches of consecutive orbit
-rows. With the trivial group every row is an orbit row, and each batch is
-one whole block, which takes H itself as its table: the numpy calls of
-the search over every row, batch for batch. Every maximal
-(neg_x, e) of the whole space is an image of one in an orbit row, and the
-maxima are closed under the rotations and the twins. So a batch's
-tie-break takes the least packed (neg_x, neg_y) over the rotated images of
-its maxima, each with its twin, and the argmax is that of the search over
-every row.
+A relabelling of a graph's vertices is one of its term list: term S has
+X mask S, Z mask ΓS and a sign read from the edges inside S and from
+S & ΓS, so term π(S) of π(G) has Z mask π(ΓS) and the sign of term S. A
+label rotation that is an automorphism of G therefore takes term j to term
+rot(j) with Z mask rot(z_j) and the same sign. Then row rot(e) is row e
+with its keys rotated, so its value at rot(neg_x) is row e's at neg_x, and
+the two rows have the same maximum. A search of more than one batch
+(n >= 10 with these constants) reads those rotations, a subgroup of Z_n,
+from the adjacency in O(n) per divisor of n, before any term is built; a
+graph that no rotation maps has the trivial group. The search then
+transforms only the rows e < 2^(n-1) that are least in their orbit under
+the rotations and the twin e -> e ^ 1...1 (180 of rc 12's 2,048), in
+batches of consecutive orbit rows. With the trivial group every row is an
+orbit row, and each batch is one whole block, which takes H itself as its
+table: the numpy calls of the search over every row, batch for batch.
+Every maximal (neg_x, e) of the whole space is an image of one in an orbit
+row, and the maxima are closed under the rotations and the twins. So a
+batch's tie-break takes the least packed (neg_x, neg_y) over the rotated
+images of its maxima, each with its twin, and the argmax is that of the
+search over every row.
 
 Phase B only adds and subtracts the cells of one column (k_hi, e) of phase
 A's result, over key_lo, so the sum of their magnitudes bounds every value
@@ -79,9 +80,9 @@ a 12-vertex family graph), only they are gathered, [key_lo, live], and
 finished; otherwise the whole batch goes through phase B.
 
 The buffers of a batch shape, their butterfly and swap views and the
-tie-break tables make a plan. Each thread keeps its plans of at most
+tie-break table make a plan. Each thread keeps its plans of at most
 _PLAN_BYTES; with these constants a batch shape depends on n alone, so
-that is one plan, of one batch, for each n <= 8 (174 KiB in all). A larger
+that is one plan, of one batch, for each n <= 8 (173 KiB in all). A larger
 plan is built for its one call.
 
 Rows are int16: a search has at most 2^14 terms, and every partial sum of
@@ -169,16 +170,17 @@ def bell_value(b: BellOperator, a: Assignment) -> int:
     return int(values.sum(dtype=np.int64))
 
 
-def z_pinning_certified(b: BellOperator, adj: tuple[int, ...]) -> bool:
-    """True iff every absorption move phi_v of graph ``adj`` keeps every term's value.
+def z_pinning_certified(g: Graph) -> bool:
+    """True iff every absorption move phi_v of ``g`` keeps the value of every term of its list.
 
-    phi_v flips Z on v, Y on v and N(v), and X on N(v) (module docstring);
-    ``adj`` lists each vertex's neighbour mask. When this holds, pinning Z
-    loses nothing: the 8^n maximum of the term list is its 4^n maximum.
+    phi_v flips Z on v, Y on v and N(v), and X on N(v) (module docstring).
+    When this holds, pinning Z loses nothing: the 8^n maximum of the term
+    list is its 4^n maximum.
     """
+    b = bell_terms(g)
     x, z = b.x_masks, b.z_masks
     x_letters, y_letters, z_letters = x & ~z, x & z, z & ~x
-    for v, nbrs in enumerate(adj):
+    for v, nbrs in enumerate(g.adj):
         flips = (np.bitwise_count(x_letters & nbrs) + np.bitwise_count(y_letters & (nbrs | 1 << v))
                  + (z_letters >> v & 1))
         if (flips & 1).any():
@@ -221,12 +223,11 @@ class _Plan(NamedTuple):
     out: np.ndarray  # [swapped key, e], flat: where its transform ends
     ties: np.ndarray  # bool, flat, in the buffer that does not hold out: where out is maximal
     lex: np.ndarray  # the packed (neg_x, neg_y) of each swapped key at e = 0
-    lex_e: np.ndarray  # what e adds to it, for every transformed e
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the two batch buffers and the two tie-break tables."""
-        return 2 * self.batch.nbytes + self.lex.nbytes + self.lex_e.nbytes
+        """Bytes held: the two batch buffers and the tie-break table."""
+        return 2 * self.batch.nbytes + self.lex.nbytes
 
 
 def _build_plan(n: int, row_bits: int) -> _Plan:
@@ -271,7 +272,6 @@ def _build_plan(n: int, row_bits: int) -> _Plan:
         out=bufs[(n + 1) % 2],
         ties=bufs[n % 2].view(np.bool_)[: size * rows],
         lex=lex,
-        lex_e=np.arange(1 << (n - 1), dtype=np.int32),
     )
 
 
@@ -306,22 +306,19 @@ def _rotate(v, t, n: int):
     return (v << t | v >> (n - t)) & ((1 << n) - 1)
 
 
-def _label_rotations(n: int, z: np.ndarray, signs: np.ndarray) -> tuple[int, ...]:
-    """The shifts 0 < t < n of the label rotations that map a graph's term list onto itself.
+def _label_rotations(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The shifts 0 < t < n of the label rotations that are automorphisms of the graph ``adj``.
 
-    Term j (X mask j) must go to term rot(j) with Z mask rot(z_j) and the
-    same sign. Such shifts form a subgroup of Z_n, generated by its least
-    element, a divisor of n; so the first divisor that maps the list gives
-    them all, and none gives the trivial group, which is always sound. The
-    Z masks of the n one-vertex terms (X mask 1 << v) are compared first, in
-    Python, so a divisor that does not map them costs no pass over the terms.
+    Rotation by k is one when vertex v + k has the rotated neighbours of v,
+    for every v. Such shifts form a subgroup of Z_n, generated by its least
+    element, a divisor of n; so the first divisor that maps the graph gives
+    them all, and none gives the trivial group, which is always sound.
     """
-    one = z[1 << np.arange(n)].tolist()
+    n = len(adj)
     for k in range(1, n):
-        if n % k == 0 and all(one[(v + k) % n] == _rotate(zv, k, n) for v, zv in enumerate(one)):
-            image = _rotate(np.arange(1 << n, dtype=np.uint32), k, n)
-            if np.array_equal(z[image], _rotate(z, k, n)) and np.array_equal(signs[image], signs):
-                return tuple(range(k, n, k))
+        if n % k == 0 and all(adj[(v + k) % n] == _rotate(nbrs, k, n)
+                              for v, nbrs in enumerate(adj)):
+            return tuple(range(k, n, k))
     return ()
 
 
@@ -380,67 +377,54 @@ def _least_image(lex: np.ndarray, n: int, shifts: tuple[int, ...]) -> int:
     return min(int(lex.min()), int(neg_x.min()))
 
 
-def operator_bound(b: BellOperator) -> tuple[int, Assignment, int]:
-    """Exact max of |<B>| over the Z-pinned LHV models of a graph's term list.
+def operator_bound(g: Graph) -> tuple[int, Assignment, int]:
+    """Exact max of |<B>| over the Z-pinned LHV models of a graph's Bell operator.
 
-    Returns (c, argmax, search_space). The list must be one that
-    ``bell_terms`` builds: 2^n terms with n >= 1, term j with X mask j, and
-    an even number of Y letters in every term; any other list raises
-    ``ValueError``. The Z settings are pinned to +1, so the space is 4^n;
-    that is the exact maximum over all 8^n models when
+    Returns (c, argmax, search_space). The Z settings are pinned to +1, so
+    the space is 4^n; that is the exact maximum over all 8^n models when
     ``z_pinning_certified`` holds, as it does for every graph. The argmax is
     the lexicographically smallest (neg_x, neg_y) pair achieving the
     maximum, whatever order the search visits assignments in.
 
     The search is the change of basis of the module docstring, in batches of
     about _BATCH_BYTES with a running maximum, so memory is a few
-    batch-sized buffers. A search of more than one batch first finds the
-    label rotations that map the list onto itself and transforms one row
-    per orbit of them and of the twins; the report is that of the search
-    over every row. More qubits than ``search_limit`` are refused before
-    anything is allocated.
+    batch-sized buffers. A search of more than one batch first reads the
+    label rotations that are automorphisms of ``g`` from its adjacency and
+    transforms one row per orbit of them and of the twins; the report is
+    that of the search over every row. More qubits than ``search_limit``
+    are refused before the term list is built.
     """
-    n = b.n
+    n = g.n
     space = search_space(n)
+    b = bell_terms(g)
     size = 1 << n
-    x, z = b.x_masks, b.z_masks
-    if n < 1 or len(b) != size or not np.array_equal(x, np.arange(size)):
-        raise ValueError("the exact search takes a graph's term list: 2^n terms with n >= 1, "
-                         "term j with X mask j")
-    y = x & z
-    if (np.bitwise_count(y) & 1).any():
-        raise ValueError("the exact search takes a graph's term list: "
-                         "an even number of Y letters in every term")
+    y = b.x_masks & b.z_masks
     signs = b.signs.astype(np.int16)
     # a batch holds the rows of 2^row_bits consecutive e, laid out [key, e]
     # with e fastest (see _MIN_BATCH_ROWS)
     fit = (_BATCH_BYTES // 2).bit_length() - 1 - n
     row_bits = min(n - 1, max(_MIN_BATCH_ROWS.bit_length() - 1, fit))
     rows = 1 << row_bits
-    many = rows < size >> 1
-    # the rotations and orbit rows before the plan, so that their temporaries are gone when it is
-    # allocated
-    shifts = _label_rotations(n, z, b.signs) if many else ()
-    reps = _orbit_rows(n, shifts) if many else None
+    # the orbit rows before the plan, so that their temporaries are gone when it is allocated; a
+    # search of one batch has no batch to save
+    shifts = _label_rotations(g.adj) if rows < size >> 1 else ()
+    reps = _orbit_rows(n, shifts)
     plan = _plan(n, row_bits)
     batch, out = plan.batch, plan.out
-    if many:  # row e of block `base` is chi[key] * H[y(key) mod rows, e mod rows], chi below
-        y_lo = (y & (rows - 1)).astype(np.intp)
-        chi = np.empty(size, dtype=np.int16)  # refilled in place, one allocation a search
-    else:  # signs[key] * H[y(key), e]
-        np.multiply(_hadamard(row_bits).take(y & (rows - 1), axis=0), signs[:, None], out=batch)
+    # row e of block `base` is chi[key] * H[y(key) mod rows, e mod rows]
+    y_lo = (y & (rows - 1)).astype(np.intp)
+    chi = np.empty(size, dtype=np.int16)  # refilled in place, one allocation a search
     lo = n // 2
     hi = n - lo
     best, best_key = -1, 0
-    # one batch of every e, filled above, or batches of orbit rows
-    batches = _row_batches(row_bits, reps) if many else [(None, (), plan.lex_e)]
-    for table, blocks, es in batches:
-        if many:
-            table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
-            for base, j0, j1 in blocks:  # chi = signs * (-1)^<y(key), base>
-                _SIGNS.take(np.bitwise_count(y & base) & 1, out=chi)
-                chi *= signs
-                batch[:, j0:j1] *= chi[:, None]
+    for table, blocks, es in _row_batches(row_bits, reps):
+        table.take(y_lo, axis=0, out=batch, mode="clip")  # "raise" copies through a temporary
+        for base, j0, j1 in blocks:
+            sign = signs
+            if base:  # chi = signs * (-1)^<y(key), base>, which is signs at base 0
+                sign = _SIGNS.take(np.bitwise_count(y & base) & 1, out=chi)
+                sign *= signs
+            batch[:, j0:j1] *= sign[:, None]
         for s0, s1, d0, d1 in plan.phase_a:
             np.add(s0, s1, out=d0)
             np.subtract(s0, s1, out=d1)
@@ -504,7 +488,7 @@ def classical_bound(g: Graph) -> BoundReport:
     space_total = 0
     for comp in comps:
         sub, labels = induced_subgraph(g, comp)
-        c, argmax, space = operator_bound(bell_terms(sub))
+        c, argmax, space = operator_bound(sub)
         c_total *= c
         space_total += space
         if len(comps) == 1:  # the labels are 0..n-1

@@ -25,8 +25,7 @@ class BellOperator:
     oracle consume the terms without materializing 2^n objects. In the
     output of ``bell_terms`` term j is the stabilizer element of the
     generator subset whose set bits are j, so its X mask is j, and every
-    term has an even number of Y letters. The exact search
-    (``lhv.operator_bound``) takes only such lists and refuses others.
+    term has an even number of Y letters.
     """
 
     def __init__(self, n: int, x_masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray):

@@ -283,6 +283,52 @@ def reference_scan(b, pin_z: bool) -> tuple[int, int]:
     return int(values[index]), index
 
 
+def replay_json(payload: dict) -> Fraction:
+    """The value of a ``CompositeBound.to_json_dict()``, recomputed from each node's own fields.
+
+    An exact node gives its d; a bridge product, the product of its
+    children; a subgraph relaxation, 1 - (1 - d_sub) / 2^(|piece| -
+    |subgraph|). Every stored value, the top-level one included, is
+    asserted equal to its recomputation, without the package's
+    ``replay`` or the nodes' ``value`` properties.
+    """
+    def node_value(node: dict) -> Fraction:
+        kind = node["kind"]
+        if kind == "exact":
+            return Fraction(*node["d"])
+        if kind == "bridge_product":
+            value = node_value(node["left"]) * node_value(node["right"])
+        else:
+            assert kind == "subgraph_relaxation", kind
+            dropped = len(node["piece_vertices"]) - len(node["subgraph_vertices"])
+            value = 1 - (1 - Fraction(*node["d_sub"])) / (1 << dropped)
+        assert Fraction(*node["value"]) == value, node
+        return value
+
+    value = node_value(payload["derivation"])
+    assert Fraction(*payload["value"]) == value
+    return value
+
+
+def reference_label_rotations(b: BellOperator) -> tuple[int, ...]:
+    """The shifts 0 < t < n of the label rotations that map a term list onto itself.
+
+    Rotation by t maps the list when, for every term j, term rot(j) has Z
+    mask rot(z_j) and the sign of term j: one comparison over all 2^n terms
+    per shift, with no assumption on the list but X mask j at index j.
+    """
+    n, z, signs = b.n, b.z_masks.astype(np.int64), b.signs
+    full = (1 << n) - 1
+    j = np.arange(1 << n, dtype=np.int64)
+
+    def rotated(v, t):
+        return (v << t | v >> (n - t)) & full
+
+    return tuple(t for t in range(1, n)
+                 if np.array_equal(z[rotated(j, t)], rotated(z, t))
+                 and np.array_equal(signs[rotated(j, t)], signs))
+
+
 @lru_cache(maxsize=None)
 def path_c(k: int) -> int:
     """Exact classical bound C of the k-vertex path, straight from the exact search."""

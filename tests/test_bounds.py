@@ -41,6 +41,7 @@ from helpers import (
     path_c,
     random_connected_graph,
     reference_bridge_sides,
+    replay_json,
 )
 
 LC = GraphFamily.LINEAR_CLUSTER
@@ -98,6 +99,8 @@ class TestBridgeCompose:
             exhaustive = bridge_compose_bound(g, exact_cap=4, exhaustive=True)
             assert exhaustive.value <= greedy.value
             assert classical_bound(g).d <= exhaustive.value
+            for bound in (greedy, exhaustive):
+                assert replay_json(bound.to_json_dict()) == bound.value
 
     def test_replay_reproduces_value(self):
         rng = random.Random(1234)
@@ -108,9 +111,11 @@ class TestBridgeCompose:
                 0,
                 0,
             )
-            bound = bridge_compose_bound(g, exact_cap=4)
-            assert replay(bound.derivation) == bound.value
-            assert bound.value <= 1
+            for exhaustive in (False, True):
+                bound = bridge_compose_bound(g, exact_cap=4, exhaustive=exhaustive)
+                assert replay(bound.derivation) == bound.value
+                assert replay_json(bound.to_json_dict()) == bound.value
+                assert bound.value <= 1
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_relabelled_paths_compose_like_the_chain(self, n):
@@ -198,11 +203,17 @@ def _check_splits(g, step) -> None:
 class TestSplitSoundness:
     @pytest.mark.parametrize("cap", range(1, 9))
     def test_every_split_cuts_a_bridge_of_its_piece(self, cap):
+        kinds = set()
         for g in _split_graphs():
             modes = (False, True) if g.n <= 14 else (False,)
             for exhaustive in modes:
                 bound = bridge_compose_bound(g, exact_cap=cap, exhaustive=exhaustive)
                 _check_splits(g, bound.derivation)
+                payload = bound.to_json_dict()
+                assert replay_json(payload) == bound.value
+                kinds |= {kind for kind in ("exact", "bridge_product", "subgraph_relaxation")
+                          if f'"{kind}"' in json.dumps(payload)}
+        assert kinds == {"exact", "bridge_product", "subgraph_relaxation"}
 
 
 class TestDisconnectedCompose:
@@ -222,6 +233,7 @@ class TestDisconnectedCompose:
                 assert bound.value >= exact
                 assert bound.value == exact or not bound.is_exact
                 assert replay(bound.derivation) == bound.value
+                assert replay_json(bound.to_json_dict()) == bound.value
                 assert _vertices(bound.derivation) == g.vertex_mask
                 _check_splits(g, bound.derivation)
         assert disconnected > 20

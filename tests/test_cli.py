@@ -307,7 +307,7 @@ class TestVerifyCommand:
             z[-1] ^= 1
             return BellOperator(b.n, b.x_masks, z, b.signs)
 
-        monkeypatch.setattr("graphbell.cli.bell_terms", one_z_bit_flipped)
+        monkeypatch.setattr("graphbell.lhv.bell_terms", one_z_bit_flipped)
         code, out, err = run(capsys, "verify", "--family", "lc", "--n", "6")
         assert code == EXIT_INTERNAL == 5
         assert ("FAIL z-restriction-equivalence: not certified: a Z flip changes some term's value"
@@ -325,7 +325,6 @@ class TestVerifyCommand:
             sizes.append(g.n)
             return bell_terms(g)
 
-        monkeypatch.setattr("graphbell.cli.bell_terms", counted)
         monkeypatch.setattr("graphbell.lhv.bell_terms", counted)
         path = tmp_path / "disjoint.txt"
         path.write_text(f"{n}\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(edges)))

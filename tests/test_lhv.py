@@ -35,6 +35,7 @@ from helpers import (
     graph_from_edge_mask,
     graphs,
     random_connected_graph,
+    reference_label_rotations,
     reference_scan,
     term_list,
     term_of,
@@ -152,7 +153,7 @@ class TestClassicalBound:
         report = classical_bound(FC3)
         assert report.search_space == 4**3
         assert report.method == "exhaustive"
-        c, _, space = operator_bound(bell_terms(FC3))
+        c, _, space = operator_bound(FC3)
         assert space == 4**3
         assert c == 6
 
@@ -177,22 +178,24 @@ class TestClassicalBound:
                 classical_bound(g)
         assert calls == []
 
-    def test_table_over_limit_refused_before_allocating(self):
-        # 2^40 assignments: a missing guard fails here by running for hours
-        terms = bell_terms(build_family(GraphFamily.LINEAR_CLUSTER, 20))
+    def test_table_over_limit_refused_before_allocating(self, monkeypatch):
+        # 2^40 assignments: a missing guard fails here by running for hours, and the refusal
+        # comes before the 2^20 terms of lc 20 are built
+        def never(g):
+            raise AssertionError("bell_terms called above the assignment limit")
+
+        monkeypatch.setattr("graphbell.lhv.bell_terms", never)
         with pytest.raises(CapExceededError, match="assignment limit"):
-            operator_bound(terms)
-        with pytest.raises(CapExceededError, match="assignment limit"):  # before the list check
-            operator_bound(reordered(terms, np.arange(3)))
+            operator_bound(build_family(GraphFamily.LINEAR_CLUSTER, 20))
 
     def test_table_limit_boundary(self, monkeypatch):
         assert search_limit() == 14
         monkeypatch.setattr("graphbell.lhv.SEARCH_ASSIGNMENTS", 4**5)
         assert search_limit() == 5
-        c, _, space = operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)))
+        c, _, space = operator_bound(build_family(GraphFamily.RING_CLUSTER, 5))
         assert (c, space) == (classical_bound(build_family(GraphFamily.RING_CLUSTER, 5)).c, 4**5)
         with pytest.raises(CapExceededError):
-            operator_bound(bell_terms(build_family(GraphFamily.RING_CLUSTER, 6)))
+            operator_bound(build_family(GraphFamily.RING_CLUSTER, 6))
 
     def test_disconnected_factorizes(self):
         g = from_edges(5, [(0, 1), (1, 2), (3, 4)])  # path-3 plus an edge
@@ -206,7 +209,7 @@ class TestClassicalBound:
     @settings(max_examples=50, deadline=None)
     def test_component_split_matches_whole_space_search(self, g):
         c_split = classical_bound(g).c
-        c_whole, _, _ = operator_bound(bell_terms(g))
+        c_whole, _, _ = operator_bound(g)
         assert c_split == c_whole
 
 
@@ -218,44 +221,20 @@ class TestZRestriction:
             m = n * (n - 1) // 2
             for mask in range(1 << m):
                 g = graph_from_edge_mask(n, mask)
-                b = bell_terms(g)
-                c_restricted, _, _ = operator_bound(b)
-                assert c_restricted == reference_scan(b, pin_z=False)[0]
-                assert z_pinning_certified(b, g.adj)
-
-
-def reordered(b: BellOperator, order) -> BellOperator:
-    """The terms of ``b`` at the indices ``order``, in that order."""
-    return BellOperator(b.n, b.x_masks[order], b.z_masks[order], b.signs[order])
-
-
-class TestGraphListPrecondition:
-    """operator_bound takes a graph's term list: 2^n terms, n >= 1, term j with X mask j, even Y."""
-
-    @pytest.mark.parametrize("broken, broken_part", [
-        pytest.param(lambda b: reordered(b, np.arange(len(b) - 1)), "X mask j", id="one-term-short"),
-        pytest.param(lambda b: reordered(b, np.r_[np.arange(len(b)), 5]), "X mask j",
-                     id="one-term-extra"),
-        pytest.param(lambda b: reordered(b, np.random.default_rng(3).permutation(len(b))), "X mask j",
-                     id="x-masks-shuffled"),
-        pytest.param(lambda b: reordered(b, np.r_[0, 0, np.arange(2, len(b))]), "X mask j",
-                     id="x-mask-repeated"),
-        # the X<->Y swap on qubit 0 keeps every X mask and turns some term's Y count odd
-        pytest.param(lambda b: apply_permutation(b, 0, "1YXZ"), "even number of Y letters",
-                     id="odd-y-count"),
-        pytest.param(lambda b: term_list([PauliString(0, 0, 0, 1)]), "n >= 1", id="zero-qubits"),
-    ])
-    def test_refuses_a_list_that_is_not_a_graphs(self, broken, broken_part):
-        b = broken(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)))
-        message = f"the exact search takes a graph's term list: .*{broken_part}"
-        with pytest.raises(ValueError, match=message):
-            operator_bound(b)
+                c_restricted, _, _ = operator_bound(g)
+                assert c_restricted == reference_scan(bell_terms(g), pin_z=False)[0]
+                assert z_pinning_certified(g)
 
 
 def one_z_bit_flipped(b: BellOperator, term: int, qubit: int) -> BellOperator:
     z = b.z_masks.copy()
     z[term] ^= np.uint32(1 << qubit)
     return BellOperator(b.n, b.x_masks, z, b.signs)
+
+
+def corrupted_terms(monkeypatch, corrupt) -> None:
+    """Make the search's ``bell_terms`` return ``corrupt`` of each graph's list."""
+    monkeypatch.setattr("graphbell.lhv.bell_terms", lambda g: corrupt(bell_terms(g)))
 
 
 class TestPinningCertificate:
@@ -266,33 +245,31 @@ class TestPinningCertificate:
         for n in range(2, 15):
             for _ in range(6):
                 g = random_connected_graph(rng, n, extra_edge_prob=rng.random())
-                assert z_pinning_certified(bell_terms(g), g.adj)
+                assert z_pinning_certified(g)
             g = graph_from_edge_mask(n, rng.randrange(1 << n * (n - 1) // 2))  # often disconnected
-            assert z_pinning_certified(bell_terms(g), g.adj)
+            assert z_pinning_certified(g)
 
     def test_holds_on_every_family_graph(self):
         for fam in GraphFamily:
             for n in range(2, 15):
-                g = build_family(fam, n)
-                assert z_pinning_certified(bell_terms(g), g.adj)
+                assert z_pinning_certified(build_family(fam, n))
 
     @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 9), (GraphFamily.RING_CLUSTER, 5),
                                         (GraphFamily.STAR, 4), (GraphFamily.FULLY_CONNECTED, 3)])
-    def test_fails_on_an_x_y_swap(self, fam, n):
-        g = build_family(fam, n)
-        assert not z_pinning_certified(apply_permutation(bell_terms(g), 0, "1YXZ"), g.adj)
+    def test_fails_on_an_x_y_swap(self, monkeypatch, fam, n):
+        corrupted_terms(monkeypatch, lambda b: apply_permutation(b, 0, "1YXZ"))
+        assert not z_pinning_certified(build_family(fam, n))
 
-    def test_fails_with_one_z_bit_flipped(self):
+    def test_fails_with_one_z_bit_flipped(self, monkeypatch):
         # a flipped Z bit on qubit q turns 1 into Z or X into Y there, which phi_q sees
         rng = random.Random(9)
-        g = build_family(GraphFamily.LINEAR_CLUSTER, 9)
-        b = bell_terms(g)
-        assert not z_pinning_certified(one_z_bit_flipped(b, 0b101101, 4), g.adj)
+        corrupted_terms(monkeypatch, lambda b: one_z_bit_flipped(b, 0b101101, 4))
+        assert not z_pinning_certified(build_family(GraphFamily.LINEAR_CLUSTER, 9))
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 9))
-            b = bell_terms(g)
-            flipped = one_z_bit_flipped(b, rng.randrange(len(b)), rng.randrange(g.n))
-            assert not z_pinning_certified(flipped, g.adj)
+            term, qubit = rng.randrange(1 << g.n), rng.randrange(g.n)
+            corrupted_terms(monkeypatch, lambda b: one_z_bit_flipped(b, term, qubit))
+            assert not z_pinning_certified(g)
 
 
 def small_batches(monkeypatch) -> None:
@@ -320,7 +297,7 @@ class TestDeterminism:
         # one qubit's letters, which is a bijection of assignments
         for fam in GraphFamily:
             b = bell_terms(build_family(fam, 4))
-            c, _, space = operator_bound(b)
+            c, _, space = operator_bound(build_family(fam, 4))
             assert space == 4**4
             for ops in (b, apply_permutation(b, 1, "Y1ZX")):
                 assert reference_scan(ops, pin_z=False)[0] == c
@@ -329,9 +306,8 @@ class TestDeterminism:
         small_batches(monkeypatch)
         for n in range(1, 5):
             for g in all_labeled_graphs(n):
-                b = bell_terms(g)
-                c, argmax, _ = operator_bound(b)
-                assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
+                c, argmax, _ = operator_bound(g)
+                assert (c, counter_index(argmax, n)) == reference_scan(bell_terms(g), pin_z=True)
 
     def test_seams_unpinned_on_families_and_permutations(self, monkeypatch):
         # searched across batch seams, each family graph's c is the 8^n reference's, also
@@ -339,8 +315,9 @@ class TestDeterminism:
         small_batches(monkeypatch)
         for fam in GraphFamily:
             for n in range(2, 6):
-                b = bell_terms(build_family(fam, n))
-                c, argmax, _ = operator_bound(b)
+                g = build_family(fam, n)
+                b = bell_terms(g)
+                c, argmax, _ = operator_bound(g)
                 assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
                 for ops in (b, apply_permutation(b, 0, "Y1ZX"), apply_permutation(b, n - 1, "ZYX1")):
                     assert reference_scan(ops, pin_z=False)[0] == c
@@ -388,9 +365,8 @@ class TestBatchLayout:
                     g = random_connected_graph(rng, n, extra_edge_prob=rng.random())
                 else:  # labelled edges at random, often disconnected
                     g = graph_from_edge_mask(n, rng.randrange(1 << n * (n - 1) // 2))
-                b = bell_terms(g)
-                c, argmax, _ = operator_bound(b)
-                assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
+                c, argmax, _ = operator_bound(g)
+                assert (c, counter_index(argmax, n)) == reference_scan(bell_terms(g), pin_z=True)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_graphs_in_many_batches(self, monkeypatch, n):
@@ -399,9 +375,8 @@ class TestBatchLayout:
         rng = random.Random(n)
         for g in (random_connected_graph(rng, n), graph_from_edge_mask(n, rng.randrange(1 << n)),
                   build_family(GraphFamily.RING_CLUSTER, n)):
-            b = bell_terms(g)
-            c, argmax, _ = operator_bound(b)
-            assert (c, counter_index(argmax, n)) == reference_scan(b, pin_z=True)
+            c, argmax, _ = operator_bound(g)
+            assert (c, counter_index(argmax, n)) == reference_scan(bell_terms(g), pin_z=True)
 
 
 def relabelled(g, rng: random.Random):
@@ -424,15 +399,15 @@ class TestPrunedBatches:
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 8)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 2)
         rng = random.Random(20)
-        cases = [bell_terms(relabelled(build_family(fam, n), rng))
+        cases = [relabelled(build_family(fam, n), rng)
                  for fam in (GraphFamily.FULLY_CONNECTED, GraphFamily.STAR, GraphFamily.RING_CLUSTER)
                  for n in (5, 6, 8)]
-        for b in cases:
-            expected = reference_scan(b, pin_z=True)
+        for g in cases:
+            expected = reference_scan(bell_terms(g), pin_z=True)
             for share in (1, 8, 1 << 30):
                 monkeypatch.setattr("graphbell.lhv._LIVE_SHARE", share)
-                c, argmax, _ = operator_bound(b)
-                assert (c, counter_index(argmax, b.n)) == expected
+                c, argmax, _ = operator_bound(g)
+                assert (c, counter_index(argmax, g.n)) == expected
 
     def test_low_d_random_graphs_match_one_batch(self, monkeypatch):
         # in batches of 4 rows, the second graph sends 52 batches through phase B with more than an
@@ -441,10 +416,10 @@ class TestPrunedBatches:
         rng = random.Random(0)
         gs = [random_connected_graph(rng, n, extra_edge_prob=0.2) for n in (9, 10, 9, 10)]
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 21)  # one batch up to n = 10
-        whole = [operator_bound(bell_terms(g)) for g in gs]
+        whole = [operator_bound(g) for g in gs]
         monkeypatch.setattr("graphbell.lhv._BATCH_BYTES", 1 << 12)
         monkeypatch.setattr("graphbell.lhv._MIN_BATCH_ROWS", 4)
-        assert [operator_bound(bell_terms(g)) for g in gs] == whole
+        assert [operator_bound(g) for g in gs] == whole
 
     def test_rc12_traced_peak_stays_under_1_5_mib(self):
         g = build_family(GraphFamily.RING_CLUSTER, 12)
@@ -476,10 +451,6 @@ def pinned_scan(g) -> tuple[int, int]:
     return reference_scan(bell_terms(g), pin_z=True)
 
 
-def rotation_shifts(b: BellOperator) -> tuple[int, ...]:
-    return lhv._label_rotations(b.n, b.z_masks, b.signs)
-
-
 class TestOrbitRows:
     """A search of many batches transforms one row per orbit of the label rotations and twins.
 
@@ -499,13 +470,26 @@ class TestOrbitRows:
         fixed.append(relabelled(build_family(GraphFamily.RING_CLUSTER, 12), random.Random(3)))
         for g, order in [(g, g.n) for g in rotating] + [(g, 1) for g in fixed]:
             b = bell_terms(g)
-            shifts = rotation_shifts(b)
+            shifts = lhv._label_rotations(g.adj)
             assert len(shifts) + 1 == order
             terms = {t.x_mask: t for t in terms_of(b)}
             for t in shifts:  # every term goes to the rotated term: the same Z mask and sign
                 for term in terms.values():
                     image = terms[lhv._rotate(term.x_mask, t, g.n)]
                     assert (image.z_mask, image.sign) == (lhv._rotate(term.z_mask, t, g.n), term.sign)
+
+    def test_adjacency_rotations_equal_the_term_list_reference(self):
+        rng = random.Random(28)
+        families = [build_family(fam, n) for fam in GraphFamily for n in range(3, 15)]
+        gs = families + [relabelled(g, rng) for g in families]
+        gs += [g for n in range(3, 15) for g in seeded_circulants(rng, n, 2)]
+        gs += [rotation_invariant_graph(rng, n, k) for n in range(3, 15)
+               for k in range(1, n) if n % k == 0]
+        gs += [graph_from_edge_mask(n, rng.randrange(1 << n * (n - 1) // 2)) for n in range(3, 15)]
+        gs += [random_connected_graph(rng, n, extra_edge_prob=rng.random()) for n in range(3, 15)]
+        assert sum(bool(reference_label_rotations(bell_terms(g))) for g in gs) > len(gs) // 3
+        for g in gs:
+            assert lhv._label_rotations(g.adj) == reference_label_rotations(bell_terms(g))
 
     @pytest.mark.parametrize("batch_bytes, min_rows", [(1, 1), (1, 2), (1 << 8, 4)])
     def test_rotating_graphs_in_many_batches_match_the_reference_scan(self, monkeypatch,
@@ -516,9 +500,8 @@ class TestOrbitRows:
             gs = [build_family(GraphFamily.RING_CLUSTER, n), build_family(GraphFamily.FULLY_CONNECTED, n)]
             gs += seeded_circulants(random.Random(n), n, 2 if n < 9 else 0)
             for g in gs:
-                b = bell_terms(g)
-                assert len(rotation_shifts(b)) == n - 1
-                c, argmax, _ = operator_bound(b)
+                assert len(lhv._label_rotations(g.adj)) == n - 1
+                c, argmax, _ = operator_bound(g)
                 assert (c, counter_index(argmax, n)) == pinned_scan(g)
 
     def test_least_maximum_outside_the_orbit_rows(self, monkeypatch):
@@ -530,9 +513,8 @@ class TestOrbitRows:
             for k in (k for k in range(1, n) if n % k == 0):
                 for _ in range(6):
                     g = rotation_invariant_graph(rng, n, k)
-                    b = bell_terms(g)
-                    assert n // k <= len(rotation_shifts(b)) + 1
-                    c, argmax, _ = operator_bound(b)
+                    assert n // k <= len(lhv._label_rotations(g.adj)) + 1
+                    c, argmax, _ = operator_bound(g)
                     assert (c, counter_index(argmax, n)) == pinned_scan(g)
 
     def test_trivial_group_reports_match_the_orbit_rows(self, monkeypatch):
@@ -540,7 +522,7 @@ class TestOrbitRows:
         gs = [build_family(fam, n) for fam in GraphFamily for n in range(10, 14)]
         gs += [g for n in range(10, 14) for g in seeded_circulants(rng, n, 2)]
         reduced = [classical_bound(g) for g in gs]
-        monkeypatch.setattr("graphbell.lhv._label_rotations", lambda n, z, signs: ())
+        monkeypatch.setattr("graphbell.lhv._label_rotations", lambda adj: ())
         assert [classical_bound(g) for g in gs] == reduced
 
     def test_only_batches_that_are_not_one_whole_block_gather_their_table(self):
@@ -564,7 +546,7 @@ class TestOrbitRows:
     def test_fourteen_vertices_match_the_search_over_every_row(self, fam, c, neg_x, order):
         # the reports of the search over all 8,192 rows; lc 14 has the trivial group and runs them
         report = classical_bound(build_family(fam, 14))
-        assert rotation_shifts(bell_terms(build_family(fam, 14))) == tuple(range(1, 14))[: order - 1]
+        assert lhv._label_rotations(build_family(fam, 14).adj) == tuple(range(1, 14))[: order - 1]
         assert report.to_json_dict() == {
             "n": 14, "c": c, "d_num": Fraction(c, 1 << 14).numerator,
             "d_den": Fraction(c, 1 << 14).denominator, "argmax_negx": neg_x, "argmax_negy": 0,

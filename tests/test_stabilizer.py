@@ -15,6 +15,7 @@ from graphbell import (
 from helpers import (
     PauliString,
     all_labeled_graphs,
+    circulant,
     connected_graphs,
     dense_of,
     edge_index_pairs,
@@ -176,6 +177,37 @@ class TestClosedForm:
         assert (b.x_masks.dtype, b.z_masks.dtype, b.signs.dtype) == (
             np.uint32, np.uint32, np.int8
         )
+
+
+def relabelled_masks(masks: np.ndarray, perm: list[int]) -> np.ndarray:
+    """Each mask with its bit v moved to bit perm[v]."""
+    out = np.zeros_like(masks)
+    for v, image in enumerate(perm):
+        out |= (masks >> v & 1) << image
+    return out
+
+
+class TestRelabelling:
+    """Relabelling a graph relabels its term list: term π(S) of π(G) has Z mask π(ΓS), sign of S.
+
+    The exact search rests on this when it reads the label rotations that map
+    the term list onto itself from the adjacency alone.
+    """
+
+    def test_terms_follow_a_seeded_relabelling(self):
+        rng = random.Random(28)
+        gs = [build_family(fam, n) for fam in GraphFamily for n in range(2, 13)]
+        gs += [circulant(n, rng.sample(range(1, n // 2 + 1), rng.randint(1, n // 2)))
+               for n in range(3, 13) for _ in range(2)]
+        gs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+               for n in range(1, 13) for _ in range(3)]
+        for g in gs:
+            perm = rng.sample(range(g.n), g.n)
+            b = bell_terms(g)
+            image = bell_terms(from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()]))
+            moved = relabelled_masks(b.x_masks, perm)  # the index of term π(S) in π(G)'s list
+            assert np.array_equal(image.z_masks[moved], relabelled_masks(b.z_masks, perm))
+            assert np.array_equal(image.signs[moved], b.signs)
 
 
 class TestGroupClosure:
