@@ -11,7 +11,9 @@ command-line user meets it. The ``tier1`` row runs the Tier-1 test command,
 checkout in the same way. A row's ``wall_s`` and ``peak_rss_mb`` are the
 medians over 5 runs (wall clock from start to exit, and the
 child's own maximum resident set size). The file also records the machine
-and the line count of ``src/``, so that removals show up next to timings.
+and two line counts of ``src/``, so that removals show up next to timings:
+``src_lines`` counts every line, ``src_code_lines`` only the lines that hold
+code tokens, leaving out docstrings, comments and blank lines.
 
 The ``call-*`` rows time one library call itself, without start-up: each
 run's child builds a family graph, calls the function the row names
@@ -33,7 +35,7 @@ runs alternate between that checkout and this one, and the side that runs
 first swaps from one round to the next, so that a drift of the host between
 runs, or a cold first run, falls on both trees alike. The row then also
 holds the parent's medians and quartiles under ``parent_*`` keys, and the
-file the parent's commit and line count. A row is marked ``unresolved``,
+file the parent's commit and line counts. A row is marked ``unresolved``,
 its runs spread too widely to tell the two sides apart, when its two
 medians differ by no more than the parent's interquartile range, or when
 neither side is faster in at least nine tenths of the rounds (all 5 at
@@ -47,7 +49,9 @@ exit status is 1 if any run did not exit 0.
 from __future__ import annotations
 
 import argparse
+import ast
 import compileall
+import io
 import json
 import os
 import platform
@@ -56,6 +60,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +91,9 @@ ROWS = {
 CALLS = ("classical_bound", "quantum_bell_value", "projector_identity_residual",
          "bridge_compose_bound")
 CALL_REPEATS = 5  # timed loops per call-row run; the run reports the best
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)  # docstring holders
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 def time_call(function: str, family: str, n: int) -> float:
@@ -171,6 +179,24 @@ def src_lines(root: Path = ROOT) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
+def src_code_lines(root: Path = ROOT) -> int:
+    """Lines of ``src/`` holding code tokens; docstrings, comments and blank lines do not count."""
+    return sum(code_lines(p.read_text()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def code_lines(text: str) -> int:
+    """Lines of one Python source that hold a token outside every docstring and comment."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def commit(root: Path) -> str | None:
     """The checked-out commit of ``root``, or None outside a git checkout."""
     proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -234,10 +260,10 @@ def main() -> int:
             line += "  unresolved" if rows[name]["unresolved"] else ""
         print(f"{line}  exit {sorted(codes)}", flush=True)
     report = {"label": args.label, "machine": machine(tree_env(ROOT)), "src_lines": src_lines(),
-              "compiled_src": compiled[-1], "repeats": REPEATS}
+              "src_code_lines": src_code_lines(), "compiled_src": compiled[-1], "repeats": REPEATS}
     if args.parent is not None:
         report["parent"] = {"commit": commit(roots[0]), "src_lines": src_lines(roots[0]),
-                            "compiled_src": compiled[0]}
+                            "src_code_lines": src_code_lines(roots[0]), "compiled_src": compiled[0]}
     report["rows"] = rows
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -264,8 +264,10 @@ def bridge_compose_bound(
     memoization, which is only sensible up to around 20 vertices. Pieces
     within the cap get exact values; bridgeless oversized pieces fall back to
     the induced-subgraph relaxation. Splits never cross multi-edge cuts: the
-    product rule is unsound there.
+    product rule is unsound there. An ``exact_cap`` below 1 raises ValueError.
     """
+    if exact_cap < 1:
+        raise ValueError(f"exact_cap must be at least 1, got {exact_cap}")
     composer = _Composer(g, exact_cap, exhaustive)
     parts = [composer.run(comp) for comp in connected_components(g)]
     step = reduce(lambda left, right: BridgeStep(None, left, right), parts)

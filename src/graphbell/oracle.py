@@ -4,12 +4,12 @@ Everything here is direct, on amplitude arrays and term-mask arrays: build the
 graph state (4096 or fewer real amplitudes) by doubling over the vertices,
 once per graph, and check the eigenvalue equations and Schmidt spectra
 numerically. Terms are applied by one route: the row-shifted products
-p(idx) = conj(psi[idx ^ x]) psi[idx] of the state viewed as a matrix, a block
-of terms at a time. They pair up, p(idx ^ x) = conj(p(idx)), so a term whose
-x has a high bit takes only half of them. <B> and the projector identity are
-two reductions of these blocks, each in O(block * 2^n) memory; no 4^n matrix
-is built. The oracle exists for trust, not scale; the dense cap keeps calls
-sub-second.
+p(idx) = psi[idx ^ x] psi[idx] of the real state viewed as a matrix, a block
+of terms at a time, term j of a graph's list at X mask x = j. They pair up,
+p(idx ^ x) = p(idx), so a term whose x has a high bit takes only half of
+them. <B> and the projector identity are two reductions of these blocks,
+each in O(block * 2^n) memory; no 4^n matrix is built. The oracle exists
+for trust, not scale; the dense cap keeps calls sub-second.
 
 Qubit ordering is little-endian throughout: qubit 0 is the least significant
 bit of the amplitude index.
@@ -29,7 +29,6 @@ from .stabilizer import BellOperator, bell_terms
 DENSE_CAP = 12
 SCHMIDT_RANK_TOLERANCE = 1e-10
 _BATCH_BYTES = 1 << 18  # one block of taken rows
-_PHASES = np.array([1, 1j, -1, -1j])  # i^k, indexed by k mod 4
 
 
 @dataclass(frozen=True)
@@ -102,78 +101,70 @@ def check_stabilized(g: Graph) -> float:
 def _term_blocks(b: BellOperator, amplitudes: np.ndarray):
     """Yield (t, p, lo, hi, halved) for each block of terms t, in 256 KiB of products.
 
-    p[k, r, l] = conj(psi[idx ^ x]) psi[idx] for term t[k], with psi viewed as
-    the matrix m[h, l] over the high bits and the low n//2 bits of idx, so
-    that conj(psi[idx ^ x]) is conj(m)[h ^ x_hi, l ^ x_lo]. A table holds the
-    column shifts conj(m)[h, cols ^ x_lo] for a chunk of x_lo values, at most
-    256 KiB, and each term of the chunk takes whole rows of it. The term's Z
-    parity (-1)^popcount(idx & z) splits as lo[k, l] hi[k, r], rows of two
-    half-width +-1 tables, hi taken at the term's rows r. Real states stay real.
+    ``b`` is a ``bell_terms`` list, or a copy with other signs or Z masks
+    that keeps term j at X mask j and an even Y count in every term, and the
+    amplitudes are real; nothing checks this. p[k, r, l] = psi[idx ^ x]
+    psi[idx] for term t[k], of X mask x = t[k], with psi viewed as the matrix
+    m[h, l] over the high bits and the low n//2 bits of idx, so that
+    psi[idx ^ x] is m[h ^ x_hi, l ^ x_lo]. A table holds the column shifts
+    m[h, cols ^ s] for a chunk of low halves s, at most 256 KiB, and each
+    term of the chunk takes whole rows of it. The term's Z parity
+    (-1)^popcount(idx & z) splits as lo[k, l] hi[k, r], rows of two
+    half-width +-1 tables, hi taken at the term's rows r.
 
-    The products pair up: p(j ^ x) = conj(psi[j]) psi[j ^ x] = conj(p(j)). So a
-    term with x_hi != 0 takes only the rows h whose bit k is clear, k the
-    lowest set bit of x_hi, and ``halved`` is true: its other products are
-    the conjugates of these, at j ^ x, whose bit k is set. Terms with
-    x_hi = 0 take every row. Terms are grouped by chunk, then by k.
+    The products pair up: p(j ^ x) = psi[j] psi[j ^ x] = p(j). So a term with
+    x_hi != 0 takes only the rows h whose bit k is clear, k the lowest set bit
+    of x_hi, and ``halved`` is true: its other products equal these, at j ^ x,
+    whose bit k is set. Terms with x_hi = 0 take every row. In each chunk the
+    high halves are grouped by k, and a group's terms are t = x_hi << low | s.
     """
     low = b.n // 2
     chi_lo, chi_hi = (np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
                       for r in (np.arange(1 << low), np.arange(1 << (b.n - low))))
     m = amplitudes.reshape(chi_hi.shape[0], chi_lo.shape[0])
-    conj, rows, cols = m.conj(), np.arange(m.shape[0]), np.arange(m.shape[1])
-    x, z = b.x_masks.astype(np.intp), b.z_masks.astype(np.intp)
-    x_lo, z_lo, x_hi, z_hi = x & cols[-1], z & cols[-1], x >> low, z >> low
+    rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
+    z_lo, z_hi, bits = b.z_masks & cols[-1], b.z_masks >> low, rows & -rows  # bit 0: x_hi = 0
     width = max(1, _BATCH_BYTES // amplitudes.nbytes)  # column shifts per table
-    chunk, bit = x_lo // width, x_hi & -x_hi  # bit 0: x_hi = 0, every row
-    order = np.lexsort((bit, chunk))
-    runs = np.flatnonzero(np.diff((chunk * rows.size + bit)[order], prepend=-1)).tolist()
-    table_of = -1
-    for start, stop in zip(runs, runs[1:] + [len(b)]):
-        first = order[start]
-        if chunk[first] != table_of:
-            table_of = chunk[first]
-            shifts = cols[table_of * width : (table_of + 1) * width]  # the last may be short
-            # conj(m)[h, cols ^ shifts[s]] is row h * shifts.size + s
-            table = conj[:, cols ^ shifts[:, None]].reshape(-1, cols.size)
-        kept = rows[rows & bit[first] == 0]
-        m_kept, hi_kept, halved = m[kept], chi_hi[:, kept], bit[first] != 0
-        block = max(1, _BATCH_BYTES // m_kept.nbytes)
-        ts = order[start:stop]
-        at = (kept ^ x_hi[ts, None]) * shifts.size + (x_lo[ts, None] - shifts[0])
-        for head in range(0, ts.size, block):
-            t = ts[head : head + block]
-            taken = np.take(table, at[head : head + block], axis=0)
-            taken *= m_kept
-            yield t, taken, chi_lo[z_lo[t]], hi_kept[z_hi[t]], halved
+    for first in range(0, cols.size, width):
+        shifts = cols[first : first + width]  # the last may be short
+        # m[h, cols ^ shifts[s]] is row h * shifts.size + s
+        table = m[:, cols ^ shifts[:, None]].reshape(-1, cols.size)
+        for bit in rows[bits == rows]:  # 0, then each power of two: every lowest set bit
+            x_hi, kept = rows[bits == bit], rows[rows & bit == 0]  # bit 0 keeps every row
+            m_kept, hi_kept, halved = m[kept], chi_hi[:, kept], bit != 0
+            block = max(1, _BATCH_BYTES // m_kept.nbytes)
+            ts = (x_hi[:, None] << low | shifts).ravel()
+            at = ((kept ^ x_hi[:, None, None]) * shifts.size
+                  + np.arange(shifts.size)[:, None]).reshape(ts.size, kept.size)
+            for head in range(0, ts.size, block):
+                t = ts[head : head + block]
+                taken = np.take(table, at[head : head + block], axis=0)
+                taken *= m_kept
+                yield t, taken, chi_lo[z_lo[t]], hi_kept[z_hi[t]], halved
 
 
 def _weights(b: BellOperator) -> np.ndarray:
-    """Each term's coefficient w = sign i^|x&z|, the phase that makes its X^x Z^z Hermitian.
+    """Each term's coefficient sign (-1)^(|x&z|/2), the real phase that makes X^x Z^z Hermitian.
 
-    The weights are float64 +-1 when every |x&z| is even, as in every
-    ``bell_terms`` list (each term has an even number of Y letters), so
-    real states keep real products; complex otherwise.
+    Every ``bell_terms`` term has an even number of Y letters, so i^|x&z| is +-1.
     """
-    y_count = np.bitwise_count(b.x_masks & b.z_masks)
-    if not np.any(y_count & 1):
-        return np.where(y_count & 2, -1.0, 1.0) * b.signs
-    return b.signs * _PHASES[y_count & 3]
+    return np.where(np.bitwise_count(b.x_masks & b.z_masks) & 2, -1.0, 1.0) * b.signs
 
 
 def _expectation(b: BellOperator, amplitudes: np.ndarray) -> float:
-    """Sum of Re<psi|t|psi> over the terms t, for a block of terms per numpy call.
+    """Sum of <psi|t|psi> over the terms t, for a block of terms per numpy call.
 
-    <psi|t|psi> = w_t sum_idx conj(psi[idx^x]) psi[idx] (-1)^popcount(idx&z):
-    for each block of ``_term_blocks``, a batched matmul with the low parity
-    rows, then a row-wise dot with the high ones. A halved block's sums count
-    twice: with chi_z the parity, chi_z(j ^ x) = chi_z(j) chi_z(x) and
-    w chi_z(x) = sign (-i)^|x&z| = conj(w), so the pair j, j ^ x adds
-    w chi_z(j) p(j) + conj(w chi_z(j) p(j)), and Re(w sum_all) = 2 Re(w sum_half).
+    <psi|t|psi> = w_t sum_idx psi[idx^x] psi[idx] (-1)^popcount(idx&z): for
+    each block of ``_term_blocks`` (see there for the terms and amplitudes it
+    takes), a batched matmul with the low parity rows, then a row-wise dot
+    with the high ones. A halved block's sums count twice: with chi_z the
+    parity, chi_z(j ^ x) = chi_z(j) chi_z(x), and chi_z(x) = 1 for an even Y
+    count, so the pair j, j ^ x adds the same product twice.
     """
-    sums = np.empty(len(b), dtype=amplitudes.dtype)
+    sums = np.empty(len(b))
     for t, p, lo, hi, halved in _term_blocks(b, amplitudes):
         sums[t] = np.einsum("th,th->t", np.matmul(p, lo[:, :, None])[:, :, 0], hi) * (1 + halved)
-    return float(np.real(_weights(b) @ sums))
+    return float(_weights(b) @ sums)
 
 
 def quantum_bell_value(g: Graph) -> float:
@@ -193,21 +184,18 @@ def projector_identity_residual(g: Graph) -> float:
 
 
 def _projector_residual(b: BellOperator, amplitudes: np.ndarray) -> float:
-    """Entrywise max of |(sum of the terms) - 2^n |psi><psi||, for one term per x mask.
+    """Entrywise max of |(sum of the terms) - 2^n |psi><psi||, for the terms of ``_term_blocks``.
 
     Column j of the term sum holds w chi_z(j) at row j ^ x, one term per row
-    when the x masks are the 2^n subsets, each once, as in ``bell_terms``.
-    There 2^n |psi><psi| holds 2^n psi[j ^ x] conj(psi[j]) = 2^n conj(p), with
-    p from ``_term_blocks``, so the entries are compared a block of terms at a
-    time. Halved blocks need no correction: the entry at j ^ x is the
-    conjugate of the one at j, since w chi_z(x) = conj(w) (see ``_expectation``).
-    A graph's list has real weights, so on a real state the entries and
-    their differences are real arrays.
+    since term x has X mask x. There 2^n |psi><psi| holds 2^n psi[j ^ x]
+    psi[j] = 2^n p, with p from ``_term_blocks``, so the entries are compared
+    a block of terms at a time. Halved blocks need no correction: the entry
+    at j ^ x equals the one at j, since chi_z(x) = 1 (see ``_expectation``).
     """
     weights, scale, worst = _weights(b), float(1 << b.n), 0.0
     for t, p, lo, hi, _ in _term_blocks(b, amplitudes):
         terms = weights[t, None, None] * (hi[:, :, None] * lo[:, None, :])
-        worst = max(worst, float(np.max(np.abs(terms - scale * p.conj()))))
+        worst = max(worst, float(np.max(np.abs(terms - scale * p))))
     return worst
 
 

@@ -386,30 +386,40 @@ def connected_labeled_graphs(n: int) -> list[Graph]:
     return [g for g in all_labeled_graphs(n) if is_connected(g)]
 
 
-_CLASS_CACHE: dict[int, list[Graph]] = {}
+def edge_mask(g: Graph) -> int:
+    """The edge mask of ``graph_from_edge_mask`` that builds g."""
+    return sum(1 << k for k, (i, j) in enumerate(edge_index_pairs(g.n)) if g.adj[i] >> j & 1)
 
 
-def connected_graph_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs (n <= 6)."""
-    if n in _CLASS_CACHE:
-        return _CLASS_CACHE[n]
-    if n > 6:
-        raise ValueError("exhaustive class enumeration is only tractable up to n = 6")
+def canonical_edge_masks(n: int, masks) -> np.ndarray:
+    """Each edge mask's least image under the n! relabellings: equal iff isomorphic."""
     pairs = edge_index_pairs(n)
-    m = len(pairs)
     index = {e: k for k, e in enumerate(pairs)}
-    connected_masks = np.array(
-        [mask for mask in range(1 << m) if is_connected(graph_from_edge_mask(n, mask))],
-        dtype=np.int64,
-    )
-    bits = (connected_masks[:, None] >> np.arange(m)) & 1
-    weights = (np.int64(1) << np.arange(m)).astype(np.int64)
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(len(pairs))) & 1
+    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
     canonical = None
     for perm in itertools.permutations(range(n)):
         cols = [index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
         packed = bits[:, cols] @ weights
         canonical = packed if canonical is None else np.minimum(canonical, packed)
-    reps = np.unique(canonical)
+    return canonical
+
+
+_CLASS_CACHE: dict[int, list[Graph]] = {}
+
+
+def connected_graph_classes(n: int) -> list[Graph]:
+    """One representative per isomorphism class of connected graphs (n <= 6).
+
+    Each representative is its class's canonical edge mask.
+    """
+    if n in _CLASS_CACHE:
+        return _CLASS_CACHE[n]
+    if n > 6:
+        raise ValueError("exhaustive class enumeration is only tractable up to n = 6")
+    connected_masks = [mask for mask in range(1 << len(edge_index_pairs(n)))
+                       if is_connected(graph_from_edge_mask(n, mask))]
+    reps = np.unique(canonical_edge_masks(n, connected_masks))
     graphs = [graph_from_edge_mask(n, int(mask)) for mask in reps]
     _CLASS_CACHE[n] = graphs
     return graphs

@@ -22,6 +22,7 @@ from graphbell import (
     subgraph_bound,
     tree_certificate,
 )
+from graphbell import bounds
 from graphbell.bounds import (
     BridgeStep,
     ExactStep,
@@ -65,6 +66,15 @@ class TestBridgeCompose:
         bound = bridge_compose_bound(g, exact_cap=3)
         assert bound.value == Fraction(9, 16)
         assert isinstance(bound.derivation, BridgeStep)
+
+    @pytest.mark.parametrize("exact_cap", [0, -3])
+    def test_cap_below_one_is_refused_before_any_work(self, monkeypatch, exact_cap):
+        def never(*args):
+            raise AssertionError("composer built for a cap below 1")
+
+        monkeypatch.setattr(bounds, "_Composer", never)
+        with pytest.raises(ValueError, match="exact_cap must be at least 1"):
+            bridge_compose_bound(build_family(LC, 5), exact_cap=exact_cap)
 
     def test_within_cap_is_exact(self):
         bound = bridge_compose_bound(build_family(LC, 6))

@@ -12,6 +12,7 @@ from graphbell import (
     InvalidGraphError,
     bridges,
     build_family,
+    classical_bound,
     connected_components,
     from_edges,
     induced_subgraph,
@@ -22,7 +23,15 @@ from graphbell import (
     parse_graph6,
     render_edge_list,
 )
-from helpers import connected_graphs, edge_index_pairs, graphs, reference_bridge_sides
+from helpers import (
+    canonical_edge_masks,
+    connected_graph_classes,
+    connected_graphs,
+    edge_index_pairs,
+    edge_mask,
+    graphs,
+    reference_bridge_sides,
+)
 
 
 class TestGraphInvariants:
@@ -193,6 +202,40 @@ class TestLocalComplement:
         once = local_complement(g, v)
         assert once.n == g.n
         assert local_complement(once, v) == g
+
+
+class TestLocalComplementCensus:
+    """Local complementation sorts the connected graphs of 2..6 vertices into
+    1, 1, 2, 4 and 11 classes (Hein, Eisert and Briegel, PRA 69, 062311,
+    2004), and D is an LC invariant, so it is one value on each class."""
+
+    @staticmethod
+    def lc_classes(n: int) -> list[list]:
+        reps = connected_graph_classes(n)
+        at = {edge_mask(g): k for k, g in enumerate(reps)}
+        complements = [edge_mask(local_complement(g, v)) for g in reps for v in range(n)]
+        joined = canonical_edge_masks(n, complements).reshape(len(reps), n)
+        root = list(range(len(reps)))
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for k, row in enumerate(joined):
+            for mask in row:
+                root[find(at[int(mask)])] = find(k)
+        classes = {}
+        for k, g in enumerate(reps):
+            classes.setdefault(find(k), []).append(g)
+        return list(classes.values())
+
+    @pytest.mark.parametrize("n, count", [(2, 1), (3, 1), (4, 2), (5, 4), (6, 11)])
+    def test_class_counts_and_one_d_per_class(self, n, count):
+        classes = self.lc_classes(n)
+        assert len(classes) == count
+        for members in classes:
+            assert len({classical_bound(g).d for g in members}) == 1
 
 
 def _bridge_test_graph(rng: random.Random, n: int, kind: str) -> Graph:

@@ -34,6 +34,7 @@ from helpers import (
     generator,
     gf2_rank,
     graph_from_edge_mask,
+    graphs,
     operator_matrix,
     pauli_strings,
     random_connected_graph,
@@ -173,47 +174,38 @@ class TestQuantumBellValue:
 
 
 def random_state(seed: int, n: int) -> np.ndarray:
-    """Normalised complex amplitudes with no structure, from a seed."""
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    """Normalised real amplitudes with no structure, from a seed."""
+    amps = np.random.default_rng(seed).normal(size=1 << n)
     return amps / np.linalg.norm(amps)
 
 
-def random_terms(seed: int, n: int, kind: str) -> BellOperator:
-    """2^n terms with random Z masks and signs, and X masks by ``kind``.
+def seeded_graph(seed: int, n: int):
+    """A graph on n vertices with a seeded random edge set."""
+    return graph_from_edge_mask(n, random.Random(seed).randrange(1 << (n * (n - 1) // 2)))
 
-    "each x once" holds every X mask once, shuffled, as ``bell_terms`` does;
-    "low x" only X masks within the low n // 2 bits, so that no term is
-    halved; "one x" one X mask with a high bit, repeated in every term.
+
+def signs_flipped(seed: int, n: int, kind: str) -> BellOperator:
+    """A seeded graph's ``bell_terms``, with the signs of the terms ``kind`` names flipped.
+
+    "each x once" flips none; "low x" flips every term whose X mask lies
+    within the low n // 2 bits, the terms that are never halved; "one x"
+    flips one term whose X mask has a high bit, a halved one.
     """
-    rng = np.random.default_rng(seed)
-    size, low = 1 << n, 1 << n // 2
-    x = {"each x once": rng.permutation(size),
-         "low x": rng.integers(0, low, size),
-         "one x": np.full(size, rng.integers(low, size))}[kind]
-    return BellOperator(n, x.astype(np.uint32), rng.integers(0, size, size).astype(np.uint32),
-                        rng.choice([-1, 1], size).astype(np.int8))
-
-
-@st.composite
-def terms_with_odd_y(draw):
-    """Random n <= 5 term list that always holds an all-Y term and a one-Y term."""
-    n = draw(st.integers(1, 5))
-    full = (1 << n) - 1
-    one_y = 1 << draw(st.integers(0, n - 1))
-    sign = st.sampled_from((1, -1))
-    ts = draw(st.lists(pauli_strings(min_n=n, max_n=n), max_size=12))
-    ts += [PauliString(n, full, full, draw(sign)), PauliString(n, one_y, one_y, draw(sign))]
-    return draw(st.permutations(ts))
+    b = bell_terms(seeded_graph(seed, n))
+    x, low = b.x_masks, 1 << n // 2
+    flip = {"each x once": np.zeros(x.size, bool), "low x": x < low,
+            "one x": x == np.random.default_rng(seed).integers(low, 1 << n)}[kind]
+    return BellOperator(n, x, b.z_masks, np.where(flip, -b.signs, b.signs))
 
 
 class TestBatchedExpectation:
-    @given(terms_with_odd_y(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_dense_matrices(self, ts, seed):
-        amps = random_state(seed, ts[0].n)
-        expected = sum(float(np.real(np.vdot(amps, dense_of(t) @ amps))) for t in ts)
-        assert _expectation(term_list(ts), amps) == pytest.approx(expected, abs=1e-9)
+    @given(graphs(max_n=6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_real_states_match_dense(self, g, seed):
+        # the engine on states that are not graph states: <psi|B|psi> for any real psi
+        amps = random_state(seed, g.n)
+        expected = float(np.real(np.vdot(amps, operator_matrix(bell_terms(g)) @ amps)))
+        assert _expectation(bell_terms(g), amps) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("fam", GraphFamily)
     @pytest.mark.parametrize("n", range(2, 11))
@@ -228,11 +220,13 @@ class TestBatchedExpectation:
 
     @pytest.mark.parametrize("terms_per_block", [1, 3])
     def test_block_size_does_not_change_value(self, monkeypatch, terms_per_block):
-        terms = apply_permutation(bell_terms(build_family(GraphFamily.RING_CLUSTER, 5)), 2, "Z1XY")
-        amps = random_state(5, 5)
-        whole = _expectation(terms, amps)
-        monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
-        assert _expectation(terms, amps) == pytest.approx(whole, abs=1e-12)
+        for n in (5, 8):
+            terms, amps = bell_terms(seeded_graph(n, n)), random_state(5, n)
+            whole = _expectation(terms, amps), _projector_residual(terms, amps)
+            monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
+            assert _expectation(terms, amps) == pytest.approx(whole[0], abs=1e-12)
+            assert _projector_residual(terms, amps) == pytest.approx(whole[1], abs=1e-12)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("fam, n", [(GraphFamily.LINEAR_CLUSTER, 6),
                                         (GraphFamily.RING_CLUSTER, 12)])
@@ -250,14 +244,13 @@ class TestBatchedExpectation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ragged_blocks_match_dense(self, monkeypatch, n, kind):
         # 3 and 5 column shifts per table divide no 2^(n // 2) above 1
-        terms, amps = random_terms(n, n, kind), random_state(100 + n, n)
+        terms, amps = signs_flipped(n, n, kind), random_state(100 + n, n)
         expected = float(np.real(np.vdot(amps, operator_matrix(terms) @ amps)))
         residual = dense_projector_residual(terms, amps)
         for terms_per_block in (3, 5):
             monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
             assert _expectation(terms, amps) == pytest.approx(expected, abs=1e-9)
-            if kind == "each x once":  # one term per row of the term sum
-                assert _projector_residual(terms, amps) == pytest.approx(residual, abs=1e-12)
+            assert _projector_residual(terms, amps) == pytest.approx(residual, abs=1e-12)
 
     def test_half_the_products_are_taken(self, monkeypatch):
         # every term with a high X bit takes half its rows; the 2^(n // 2)
@@ -274,32 +267,15 @@ class TestBatchedExpectation:
             1 << n, abs=1e-9)
         assert 0 < sum(taken) <= 4**n // 2 + (1 << n // 2) * (1 << n)
 
-    @pytest.mark.parametrize("terms_per_block", [None, 1, 3, 5])
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_shuffled_terms_give_the_sorted_value(self, monkeypatch, n, terms_per_block):
-        # an X<->Y swap on qubit 0 gives every term with an X or Y there an odd Y count
-        g = SINGLE if n == 1 else build_family(GraphFamily.RING_CLUSTER if n >= 3
-                                               else GraphFamily.LINEAR_CLUSTER, n)
-        terms = apply_permutation(bell_terms(g), 0, "1YXZ")
-        assert np.any(np.bitwise_count(terms.x_masks & terms.z_masks) & 1)
-        amps = random_state(n, n)
-        if terms_per_block is not None:
-            monkeypatch.setattr(oracle, "_BATCH_BYTES", terms_per_block * amps.nbytes)
-
-        def reordered(order):
-            return BellOperator(n, terms.x_masks[order], terms.z_masks[order], terms.signs[order])
-
-        by_x = _expectation(reordered(np.argsort(terms.x_masks, kind="stable")), amps)
-        shuffled = reordered(np.random.default_rng(n).permutation(len(terms)))
-        assert _expectation(shuffled, amps) == pytest.approx(by_x, abs=1e-12)
-        assert _expectation(terms, amps) == pytest.approx(by_x, abs=1e-12)
-
     def test_one_qubit_is_a_single_group(self):
-        # n = 1 puts no bit in the low half: one column, one group of terms
+        # n = 1 puts no bit in the low half: one column, one group of terms;
+        # the list keeps X mask j at term j, with other signs and Z masks
         amps = random_state(7, 1)
-        terms = term_list([PauliString.from_text(t) for t in ("+1", "-X", "+Y", "-Z")])
+        terms = term_list([PauliString.from_text(t) for t in ("-Z", "-X")])
         expected = sum(float(np.real(np.vdot(amps, dense_of(t) @ amps))) for t in terms_of(terms))
         assert _expectation(terms, amps) == pytest.approx(expected, abs=1e-12)
+        residual = dense_projector_residual(terms, amps)
+        assert _projector_residual(terms, amps) == pytest.approx(residual, abs=1e-12)
 
     def test_cap_refused_before_terms_are_built(self, monkeypatch):
         def never(g):
@@ -381,10 +357,8 @@ class TestProjectorIdentity:
             b = bell_terms(g)
             weights = oracle._weights(b)
             assert weights.dtype == np.float64
-            phases = oracle._PHASES[np.bitwise_count(b.x_masks & b.z_masks) & 3]
+            phases = np.array([1, 1j, -1, -1j])[np.bitwise_count(b.x_masks & b.z_masks) & 3]
             assert np.array_equal(weights, b.signs * phases)
-        odd_y = apply_permutation(bell_terms(gs[1]), 0, "1YXZ")
-        assert oracle._weights(odd_y).dtype == np.complex128
 
     def test_memory_stays_in_blocks_at_rc12(self):
         # the 4^n operator and projector alone would be 2 x 256 MiB

@@ -55,7 +55,39 @@ def test_bench_rows_times_one_small_row():
     wall, rss, code = bench_rows.run_once(bench_rows.ROWS["bound-rc-10"], env)
     assert code == 0
     assert wall > 0 and rss > 0
-    assert bench_rows.src_lines() > 0
+    assert bench_rows.src_lines() > bench_rows.src_code_lines() > 0
+
+
+def test_bench_rows_counts_code_lines_without_docstrings_or_comments(tmp_path):
+    bench_rows = load_bench_rows()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text('''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Thing:
+    """One line."""
+
+    def method(self):
+        """Two
+        lines."""
+        return os.path.join(
+            "a",
+            "b",
+        )
+
+
+TEXT = """a string that is not a docstring
+spans two lines"""
+''')
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    # import, class, def, the four lines of the call, and the two of TEXT
+    assert bench_rows.src_code_lines(tmp_path) == 9
+    assert bench_rows.src_lines(tmp_path) == 22
 
 
 def test_bench_rows_alternates_between_checkouts(monkeypatch):
@@ -190,6 +222,8 @@ def test_bench_rows_writes_call_rows_against_a_parent(monkeypatch, tmp_path):
         assert row["unresolved"] is False
         assert "wall_s" not in row
     assert report["parent"]["src_lines"] == bench_rows.src_lines(ROOT)
+    assert report["parent"]["src_code_lines"] == bench_rows.src_code_lines(ROOT)
+    assert report["src_code_lines"] == bench_rows.src_code_lines()
 
 
 def test_bench_rows_marks_rows_whose_runs_spread_past_the_gap(monkeypatch, tmp_path, capsys):
